@@ -1,8 +1,8 @@
 """Reference novelty scorers: k-means distance, k-NN distance ratio, kernel PCA.
 
-Each scorer maps a probe to a nonnegative novelty score where larger
-means more anomalous, so all of them plug into the same AUC evaluation
-as the kernel regression model.
+Each scorer maps a matrix of probe rows to nonnegative novelty scores,
+one per row, where larger means more anomalous, so all of them plug
+into the same AUC evaluation as the kernel regression model.
 """
 
 from __future__ import annotations
@@ -10,17 +10,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from .kernel import KernelSpec, gram, kernel_cross, kernel_eval, kernel_vector
+from .kernel import KernelSpec, _sq_dists, gram, kernel_cross
 
 _KMEANS_TOL = 1e-8
 _KMEANS_MAX_ITER = 100
-_EIG_MAX_ITER = 1000
-_EIG_TOL = 1e-10
+# Default KPCA component count: the smallest q whose leading eigenvalues
+# capture this share of the centered spectrum.
+_KPCA_MASS = 0.95
 
 
 class EigenSolverDidNotConverge(RuntimeError):
-    """Subspace iteration failed to stabilize within the iteration budget."""
+    """The dense eigensolver failed on the centered Gram matrix."""
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +57,7 @@ def kmeans_fit(X_pos, k: int, seed: int) -> KMeansModel:
     rng = np.random.default_rng(seed)
     centers = X[rng.choice(n, size=k, replace=False)].copy()
     for _ in range(_KMEANS_MAX_ITER):
-        d2 = _pair_sq_dists(X, centers)
+        d2 = _sq_dists(X, centers)
         assign = np.argmin(d2, axis=1)
         new_centers = centers.copy()
         for j in range(k):
@@ -69,20 +71,9 @@ def kmeans_fit(X_pos, k: int, seed: int) -> KMeansModel:
     return KMeansModel(centers=centers)
 
 
-def kmeans_score(model: KMeansModel, z) -> float:
-    """Distance from z to the nearest center."""
-    z = np.asarray(z, dtype=np.float64).ravel()
-    if z.shape[0] != model.centers.shape[1]:
-        raise ValueError(f"dimension mismatch: {z.shape[0]} vs {model.centers.shape[1]}")
-    return float(np.sqrt(((model.centers - z) ** 2).sum(axis=1)).min())
-
-
-def _pair_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    sa = np.einsum("ij,ij->i", A, A)
-    sb = np.einsum("ij,ij->i", B, B)
-    d2 = sa[:, None] + sb[None, :] - 2.0 * (A @ B.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+def kmeans_score(model: KMeansModel, Z) -> np.ndarray:
+    """Distance from each probe row of Z to its nearest center."""
+    return cdist(Z, model.centers).min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +89,7 @@ class KnnddModel:
 
 
 def _kth_nn_within(X: np.ndarray, k: int) -> np.ndarray:
-    d = np.sqrt(_pair_sq_dists(X, X))
+    d = np.sqrt(_sq_dists(X, X))
     np.fill_diagonal(d, np.inf)
     return np.sort(d, axis=1)[:, k - 1]
 
@@ -112,29 +103,24 @@ def knndd_fit(X_pos, k: int) -> KnnddModel:
     return KnnddModel(X=X, k=k, self_kth=_kth_nn_within(X, k))
 
 
-def knndd_score(X_pos, z, k: int) -> float:
-    """Ratio of the probe's k-th neighbor distance to that neighbor's own.
+def knndd_score(model: KnnddModel, Z) -> np.ndarray:
+    """Ratio of each probe's k-th neighbor distance to that neighbor's own.
 
-    The numerator is the distance from z to its k-th nearest training
-    row; the denominator is the distance from that row to its own k-th
-    nearest training row (itself excluded).  A probe inside the training
-    cloud scores near 1, a probe on a training row scores 0.
+    For each probe row of Z, the numerator is the distance to its k-th
+    nearest training row (ties resolve to the earlier row); the
+    denominator is the distance from that row to its own k-th nearest
+    training row (itself excluded).  A probe inside the training cloud
+    scores near 1, a probe on a training row scores 0.  A zero
+    denominator gives 0 for a zero numerator and inf otherwise.
     """
-    return _knndd_score_fitted(knndd_fit(X_pos, k), z)
-
-
-def _knndd_score_fitted(model: KnnddModel, z) -> float:
-    z = np.asarray(z, dtype=np.float64).ravel()
-    if z.shape[0] != model.X.shape[1]:
-        raise ValueError(f"dimension mismatch: {z.shape[0]} vs {model.X.shape[1]}")
-    dists = np.sqrt(((model.X - z) ** 2).sum(axis=1))
-    order = np.argsort(dists, kind="stable")
-    j = order[model.k - 1]
-    num = float(dists[j])
-    den = float(model.self_kth[j])
-    if den == 0.0:
-        return 0.0 if num == 0.0 else float("inf")
-    return num / den
+    dists = cdist(Z, model.X)
+    rows = np.arange(dists.shape[0])
+    j = np.argsort(dists, axis=1, kind="stable")[:, model.k - 1]
+    num = dists[rows, j]
+    den = model.self_kth[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / den
+    return np.where(den == 0.0, np.where(num == 0.0, 0.0, np.inf), ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -152,33 +138,6 @@ class KpcaModel:
     total_mean: float
 
 
-def _top_eigenpairs(S: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-q eigenpairs of a symmetric PSD matrix by subspace iteration.
-
-    Deterministic (fixed internal seed).  Convergence is declared when
-    the Ritz values stabilize to relative tolerance 1e-10; after 1000
-    iterations without convergence an error is raised.
-    """
-    n = S.shape[0]
-    rng = np.random.default_rng(0)
-    V, _ = np.linalg.qr(rng.standard_normal((n, q)))
-    prev = np.full(q, np.inf)
-    for _ in range(_EIG_MAX_ITER):
-        W = S @ V
-        V, _ = np.linalg.qr(W)
-        T = V.T @ (S @ V)
-        T = (T + T.T) / 2.0
-        ritz, U = np.linalg.eigh(T)
-        ritz, U = ritz[::-1], U[:, ::-1]
-        V = V @ U
-        scale = max(float(ritz[0]), np.finfo(float).tiny)
-        if np.abs(ritz - prev).max() <= _EIG_TOL * scale:
-            return ritz, V
-        prev = ritz
-    raise EigenSolverDidNotConverge(
-        f"subspace iteration did not converge in {_EIG_MAX_ITER} iterations")
-
-
 def _centered_gram(X: np.ndarray, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray, float]:
     K = gram(X, replace(spec, delta=0.0)).K
     row_mean = K.mean(axis=1)
@@ -187,67 +146,58 @@ def _centered_gram(X: np.ndarray, spec: KernelSpec) -> tuple[np.ndarray, np.ndar
     return Kc, row_mean, total_mean
 
 
-def default_component_count(X_pos, spec: KernelSpec, mass: float = 0.95) -> int:
-    """Smallest q whose leading eigenvalues capture ``mass`` of the centered spectrum."""
-    X = np.asarray(X_pos, dtype=np.float64)
-    Kc, _, _ = _centered_gram(X, spec)
-    eig = np.linalg.eigvalsh(Kc)[::-1]
-    eig = np.clip(eig, 0.0, None)
-    total = float(eig.sum())
-    if total == 0.0:
-        return 1
-    cum = np.cumsum(eig) / total
-    q = int(np.searchsorted(cum, mass) + 1)
-    return min(max(q, 1), X.shape[0] - 1)
-
-
-def kpca_fit(X_pos, spec: KernelSpec, q: int) -> KpcaModel:
+def kpca_fit(X_pos, spec: KernelSpec, q: int | None = None) -> KpcaModel:
     """Principal subspace of the centered Gram matrix.
 
-    Extracts the top-q eigenpairs with the deterministic iterative
-    solver and stores eigenvectors scaled by inverse root eigenvalue, so
-    probe projections come from centered kernel evaluations alone.
+    Factors the centered Gram matrix with one dense symmetric
+    eigendecomposition and stores the top-q eigenvectors scaled by
+    inverse root eigenvalue, so probe projections come from centered
+    kernel evaluations alone.
 
     Args:
         X_pos: training rows.
         spec: kernel configuration (delta is ignored: centering applies
             to the raw kernel matrix).
-        q: number of components, 1 <= q <= n - 1.
+        q: number of components, 1 <= q <= n - 1.  None picks the
+            smallest q whose leading eigenvalues capture 95 percent of
+            the centered spectrum.
+
+    Raises:
+        EigenSolverDidNotConverge: the eigendecomposition failed.
     """
     X = np.asarray(X_pos, dtype=np.float64)
     n = X.shape[0]
+    Kc, row_mean, total_mean = _centered_gram(X, spec)
+    try:
+        eig, vectors = np.linalg.eigh(Kc)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverDidNotConverge(f"eigendecomposition failed: {exc}") from exc
+    eig, vectors = eig[::-1], vectors[:, ::-1]
+    if q is None:
+        spectrum = np.clip(eig, 0.0, None)
+        total = float(spectrum.sum())
+        q = 1
+        if total > 0.0:
+            q = int(np.searchsorted(np.cumsum(spectrum) / total, _KPCA_MASS) + 1)
+        q = min(q, n - 1)
     if not 1 <= q <= n - 1:
         raise ValueError(f"q must lie in [1, {n - 1}], got {q}")
-    Kc, row_mean, total_mean = _centered_gram(X, spec)
-    eigenvalues, vectors = _top_eigenpairs(Kc, q)
+    eigenvalues = eig[:q]
     floor = max(float(eigenvalues[0]), 1.0) * np.finfo(float).eps
     lam = np.clip(eigenvalues, floor, None)
-    coeffs = vectors / np.sqrt(lam)[None, :]
+    coeffs = vectors[:, :q] / np.sqrt(lam)[None, :]
     return KpcaModel(X=X, spec=replace(spec, delta=0.0), coeffs=coeffs,
                      eigenvalues=eigenvalues, row_mean=row_mean,
                      total_mean=total_mean)
 
 
-def kpca_score(model: KpcaModel, z) -> float:
-    """Feature-space reconstruction residual of z, clamped at 0.
+def kpca_score(model: KpcaModel, Z) -> np.ndarray:
+    """Feature-space reconstruction residual of each probe row of Z, clamped at 0.
 
-    The squared distance between the centered feature image of z and its
-    projection onto the stored principal subspace, computed purely from
-    kernel evaluations.
+    The squared distance between the centered feature image of a probe
+    and its projection onto the stored principal subspace, computed
+    purely from kernel evaluations.
     """
-    z = np.asarray(z, dtype=np.float64).ravel()
-    kz = kernel_vector(model.X, z, model.spec)
-    kz_mean = float(kz.mean())
-    kz_centered = kz - kz_mean - model.row_mean + model.total_mean
-    self_centered = (kernel_eval(z, z, model.spec) - 2.0 * kz_mean
-                     + model.total_mean)
-    f = model.coeffs.T @ kz_centered
-    return max(float(self_centered - f @ f), 0.0)
-
-
-def kpca_score_batch(model: KpcaModel, Z) -> np.ndarray:
-    """Vectorized ``kpca_score`` over the rows of Z."""
-    Z = np.asarray(Z, dtype=np.float64)
     KZ = kernel_cross(model.X, Z, model.spec)
     kz_mean = KZ.mean(axis=1)
     centered = KZ - kz_mean[:, None] - model.row_mean[None, :] + model.total_mean

@@ -51,7 +51,7 @@ class _PackedStorage:
 
 def _pack(R: np.ndarray) -> np.ndarray:
     """Columns of an upper-triangular matrix, concatenated."""
-    return np.ascontiguousarray(R.T[np.tril_indices(R.shape[0])])
+    return R.T[np.tri(R.shape[0], dtype=bool)]
 
 
 class CholeskyFactor:
@@ -138,7 +138,9 @@ def factor_batch(K) -> CholeskyFactor:
         raise ValueError("K is not symmetric")
 
     tol = PIVOT_EPS * float(np.linalg.norm(K, np.inf))
-    R, info = dpotrf(K, lower=0, clean=1, overwrite_a=0)
+    # K is symmetric to the tolerance above, so LAPACK may read the upper
+    # triangle of K^T, which is Fortran-ordered: no transposing copy
+    R, info = dpotrf(K.T, lower=0, clean=1, overwrite_a=0)
     if info > 0:
         raise NotPositiveDefinite(info - 1)
     if info < 0:

@@ -67,6 +67,38 @@ def _parse_float(token: str) -> float | None:
         return None
 
 
+def _parse_csv(path: str) -> tuple[np.ndarray, list[list[str]], int]:
+    """Parse a numeric CSV file with an optional header row.
+
+    Returns the matrix, the data rows as read, and the line number of
+    the first data row, so callers can point at the offending field.
+    """
+    try:
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except FileNotFoundError as exc:
+        raise DataFormatError(f"no such file: {path}") from exc
+    if not rows:
+        raise DataFormatError(f"{path}: no rows")
+    start = 1 if any(_parse_float(tok) is None for tok in rows[0]) else 0
+    if start == len(rows):
+        raise DataFormatError(f"{path}: no rows after header")
+    rows = rows[start:]
+    width = len(rows[0])
+    out = []
+    for i, row in enumerate(rows, start=start + 1):
+        if len(row) != width:
+            raise DataFormatError(f"{path}: ragged row at line {i}")
+        parsed = [_parse_float(tok) for tok in row]
+        if None in parsed:
+            j = parsed.index(None)
+            raise DataFormatError(
+                f"{path}: non-numeric value {row[j]!r} at line {i}, column {j}"
+            )
+        out.append(parsed)
+    return np.array(out, dtype=np.float64).reshape(len(out), width), rows, start + 1
+
+
 def load_csv(path: str, label_column: int, name: str | None = None) -> Dataset:
     """Load a labeled dataset from a CSV file.
 
@@ -84,74 +116,27 @@ def load_csv(path: str, label_column: int, name: str | None = None) -> Dataset:
         DataFormatError: empty file, ragged rows, non-numeric features,
             or labels outside {0, 1}.
     """
-    try:
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except FileNotFoundError as exc:
-        raise DataFormatError(f"no such file: {path}") from exc
-    if not rows:
-        raise DataFormatError(f"{path}: no rows")
-
-    start = 0
-    if any(_parse_float(tok) is None for tok in rows[0]):
-        start = 1
-        if len(rows) == 1:
-            raise DataFormatError(f"{path}: no rows after header")
-
-    width = len(rows[start])
+    M, rows, first_line = _parse_csv(path)
+    width = M.shape[1]
     if not 0 <= label_column < width:
         raise DataFormatError(
             f"{path}: label column {label_column} out of range for {width} columns"
         )
-
-    features = []
-    labels = []
-    for i, row in enumerate(rows[start:], start=start + 1):
-        if len(row) != width:
-            raise DataFormatError(f"{path}: ragged row at line {i}")
-        feat = []
-        for j, tok in enumerate(row):
-            value = _parse_float(tok)
-            if value is None:
-                raise DataFormatError(
-                    f"{path}: non-numeric value {tok!r} at line {i}, column {j}"
-                )
-            if j == label_column:
-                if value not in (0.0, 1.0):
-                    raise DataFormatError(
-                        f"{path}: invalid label {tok!r} at line {i} (must be 0 or 1)"
-                    )
-                labels.append(int(value))
-            else:
-                feat.append(value)
-        features.append(feat)
-
-    return Dataset(np.array(features, dtype=np.float64).reshape(len(features), width - 1),
-                   np.array(labels), name=name or path)
+    labels = M[:, label_column]
+    bad = np.flatnonzero((labels != 0.0) & (labels != 1.0))
+    if bad.size:
+        r = int(bad[0])
+        raise DataFormatError(
+            f"{path}: invalid label {rows[r][label_column]!r} at line "
+            f"{first_line + r} (must be 0 or 1)"
+        )
+    return Dataset(np.delete(M, label_column, axis=1), labels.astype(np.int64),
+                   name=name or path)
 
 
 def load_features_csv(path: str) -> np.ndarray:
     """Load an unlabeled feature matrix from a CSV file (header optional)."""
-    try:
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except FileNotFoundError as exc:
-        raise DataFormatError(f"no such file: {path}") from exc
-    if not rows:
-        raise DataFormatError(f"{path}: no rows")
-    start = 1 if any(_parse_float(tok) is None for tok in rows[0]) else 0
-    if start == len(rows):
-        raise DataFormatError(f"{path}: no rows after header")
-    width = len(rows[start])
-    out = []
-    for i, row in enumerate(rows[start:], start=start + 1):
-        if len(row) != width:
-            raise DataFormatError(f"{path}: ragged row at line {i}")
-        parsed = [_parse_float(tok) for tok in row]
-        if any(v is None for v in parsed):
-            raise DataFormatError(f"{path}: non-numeric value at line {i}")
-        out.append(parsed)
-    return np.array(out, dtype=np.float64).reshape(len(out), width)
+    return _parse_csv(path)[0]
 
 
 def write_csv(dataset: Dataset, path: str) -> None:

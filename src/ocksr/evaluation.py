@@ -101,7 +101,7 @@ class KMeansScorer:
 
     def novelty(self, Z: np.ndarray) -> np.ndarray:
         assert self._model is not None, "fit before scoring"
-        return np.array([baselines.kmeans_score(self._model, z) for z in Z])
+        return baselines.kmeans_score(self._model, Z)
 
 
 class KnnddScorer:
@@ -117,7 +117,7 @@ class KnnddScorer:
 
     def novelty(self, Z: np.ndarray) -> np.ndarray:
         assert self._model is not None, "fit before scoring"
-        return np.array([baselines._knndd_score_fitted(self._model, z) for z in Z])
+        return baselines.knndd_score(self._model, Z)
 
 
 class KpcaScorer:
@@ -137,15 +137,13 @@ class KpcaScorer:
     def fit(self, X: np.ndarray) -> "KpcaScorer":
         sigma = (median_pairwise_distance(X) if self.sigma == "median"
                  else float(self.sigma))
-        spec = KernelSpec(sigma=sigma)
-        q = self.q if self.q is not None else baselines.default_component_count(X, spec)
-        q = min(max(q, 1), X.shape[0] - 1)
-        self._model = baselines.kpca_fit(X, spec, q)
+        q = None if self.q is None else min(max(self.q, 1), X.shape[0] - 1)
+        self._model = baselines.kpca_fit(X, KernelSpec(sigma=sigma), q)
         return self
 
     def novelty(self, Z: np.ndarray) -> np.ndarray:
         assert self._model is not None, "fit before scoring"
-        return baselines.kpca_score_batch(self._model, Z)
+        return baselines.kpca_score(self._model, Z)
 
 
 def make_scorer(name: str, **params):

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm, dgemv, dsyrk
 from scipy.spatial.distance import pdist
 
 _FAMILIES = ("rbf",)
@@ -62,16 +63,56 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _two_products(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+    """2 A B^T from scipy's BLAS; 2 A A^T in its lower triangle without B.
+
+    scipy's BLAS is the library that factors K next.  numpy and scipy
+    each bundle an OpenBLAS with its own worker threads, which spin for a
+    while after each call; a numpy product here would leave numpy's
+    threads spinning on the cores that scipy's need for dpotrf.
+    """
+    if A.shape[1] == 0:
+        # BLAS rejects an empty inner dimension; featureless rows coincide
+        return np.zeros((A.shape[0], A.shape[0] if B is None else B.shape[0]))
+    if B is None:
+        # dsyrk fills the upper triangle of its Fortran-ordered result, so
+        # the transpose holds the lower one
+        return dsyrk(2.0, A.T, trans=1).T
+    if A.shape[0] == 1:
+        # one row (an append, a single probe): gemm costs ~3x gemv here
+        # (2000 rows of 64 features: 91 vs 29 us on a 2-core x86-64 VM)
+        return dgemv(2.0, B.T, A[0], trans=1)[None, :]
+    return dgemm(2.0, B.T, A.T, trans_a=1).T
+
+
+def _rbf(sa: np.ndarray, sb: np.ndarray, products: np.ndarray,
+         sigma: float) -> np.ndarray:
+    """Gaussian kernel from squared row norms and ``_two_products``."""
+    d2 = sa[:, None] + sb[None, :]
+    d2 -= products
+    # rounding can push tiny squared distances below 0
+    np.maximum(d2, 0.0, out=d2)
+    d2 /= -2.0 * sigma**2
+    return np.exp(d2, out=d2)
+
+
+def _kernel_rows(Z: np.ndarray, sz: np.ndarray, X: np.ndarray, sx: np.ndarray,
+                 spec: KernelSpec) -> np.ndarray:
+    """``kernel_cross`` given the squared row norms sz of Z and sx of X."""
+    return _rbf(sz, sx, _two_products(Z, X), spec.sigma)
+
+
 def gram(X, spec: KernelSpec) -> GramMatrix:
     """Build the regularized Gram matrix of the rows of X.
 
-    The result is exactly symmetric (the upper triangle is mirrored) and
+    The result is exactly symmetric (the lower triangle is mirrored) and
     its diagonal is exactly 1 + delta.
     """
     X = _as_matrix(X)
-    K = np.exp(_sq_dists(X, X) / (-2.0 * spec.sigma**2))
-    upper = np.triu(K, 1)
-    K = upper + upper.T
+    sq = np.einsum("ij,ij->i", X, X)
+    K = _rbf(sq, sq, _two_products(X), spec.sigma)
+    lower = np.tril(K, -1)
+    K = lower + lower.T
     np.fill_diagonal(K, 1.0 + spec.delta)
     return GramMatrix(K, spec)
 
@@ -85,13 +126,8 @@ def kernel_cross(X, Z, spec: KernelSpec) -> np.ndarray:
     Z = _as_matrix(Z)
     if Z.shape[1] != X.shape[1]:
         raise ValueError(f"dimension mismatch: {Z.shape[1]} vs {X.shape[1]}")
-    return np.exp(_sq_dists(Z, X) / (-2.0 * spec.sigma**2))
-
-
-def kernel_vector(X, z, spec: KernelSpec) -> np.ndarray:
-    """Kernel values between one probe z and each training row, no delta term."""
-    z = np.asarray(z, dtype=np.float64).ravel()
-    return kernel_cross(X, z[None, :], spec)[0]
+    return _kernel_rows(Z, np.einsum("ij,ij->i", Z, Z),
+                        X, np.einsum("ij,ij->i", X, X), spec)
 
 
 def median_pairwise_distance(X) -> float:

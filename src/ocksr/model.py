@@ -26,7 +26,7 @@ from .cholesky import (
     solve_lower_transposed,
     solve_upper,
 )
-from .kernel import KernelSpec, gram, kernel_cross, kernel_vector
+from .kernel import KernelSpec, _kernel_rows, gram, kernel_cross
 
 logger = logging.getLogger(__name__)
 
@@ -158,11 +158,13 @@ def _solve_with_ladder(
     forward-substitution half of the solve, retained so appends can
     extend it entry by entry.
     """
-    base = gram(X, replace(spec, delta=0.0)).K
+    # Only the diagonal changes along the ladder, so one Gram matrix
+    # serves every rung; factor_batch copies it before factoring.
+    K = gram(X, spec).K
     deltas = [spec.delta] + [d for d in DELTA_LADDER if d > spec.delta]
     last: NotPositiveDefinite | None = None
     for delta in deltas:
-        K = base if delta == 0.0 else base + delta * np.eye(X.shape[0])
+        np.fill_diagonal(K, 1.0 + delta)
         try:
             factor = factor_batch(K)
         except NotPositiveDefinite as exc:
@@ -250,9 +252,8 @@ def fit_incremental(model: Model, X_new) -> Model:
     m = model.n
     for row in X_new:
         sq = float(row @ row)
-        d2 = stream.sq[:m] + sq - 2.0 * (stream.X[:m] @ row)
-        np.maximum(d2, 0.0, out=d2)
-        k_new = np.exp(d2 / (-2.0 * spec.sigma**2))
+        k_new = _kernel_rows(row[None, :], np.array([sq]), stream.X[:m],
+                             stream.sq[:m], spec)[0]
         # self-kernel of the rbf family is exactly 1
         factor = factor_extend(factor, k_new, 1.0 + spec.delta)
         col = factor.column(m)
@@ -265,21 +266,21 @@ def fit_incremental(model: Model, X_new) -> Model:
                  tau=model.tau, factor=factor, stream=stream)
 
 
-def score(model: Model, z) -> tuple[float, float]:
-    """Return (projection, novelty) for one probe.
+def score_batch(model: Model, Z) -> tuple[np.ndarray, np.ndarray]:
+    """Return (projections, novelties) for the probe rows of Z.
 
     Novelty is the absolute deviation of the projection from the target
     value 1; small novelty means target-like.
     """
-    k = kernel_vector(model.X_train, z, model.spec)
-    projection = float(k @ model.alpha)
-    return projection, abs(projection - model.target_mean)
-
-
-def score_batch(model: Model, Z) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``score`` over the rows of Z."""
     projections = kernel_cross(model.X_train, Z, model.spec) @ model.alpha
     return projections, np.abs(projections - model.target_mean)
+
+
+def score(model: Model, z) -> tuple[float, float]:
+    """``score_batch`` for one probe z: (projection, novelty) as floats."""
+    z = np.asarray(z, dtype=np.float64).ravel()
+    projections, novelties = score_batch(model, z[None, :])
+    return float(projections[0]), float(novelties[0])
 
 
 def classify(model: Model, z, tau: float) -> Decision:

@@ -1,26 +1,58 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocksr.baselines import (
     EigenSolverDidNotConverge,
     _centered_gram,
-    default_component_count,
     kmeans_fit,
     kmeans_score,
     knndd_fit,
     knndd_score,
     kpca_fit,
     kpca_score,
-    kpca_score_batch,
 )
-from ocksr.kernel import KernelSpec
+from ocksr.kernel import KernelSpec, kernel_cross, kernel_eval, median_pairwise_distance
+
+
+# Per-probe reference scorers: the straightforward one-probe-at-a-time
+# definitions, kept as oracles for the batch scorers.
+
+def _kmeans_score_ref(model, z):
+    return float(np.sqrt(((model.centers - z) ** 2).sum(axis=1)).min())
+
+
+def _knndd_score_ref(model, z):
+    dists = np.sqrt(((model.X - z) ** 2).sum(axis=1))
+    j = np.argsort(dists, kind="stable")[model.k - 1]
+    num = float(dists[j])
+    den = float(model.self_kth[j])
+    if den == 0.0:
+        return 0.0 if num == 0.0 else float("inf")
+    return num / den
+
+
+def _kpca_score_ref(model, z):
+    kz = kernel_cross(model.X, z[None, :], model.spec)[0]
+    kz_mean = float(kz.mean())
+    kz_centered = kz - kz_mean - model.row_mean + model.total_mean
+    self_centered = kernel_eval(z, z, model.spec) - 2.0 * kz_mean + model.total_mean
+    f = model.coeffs.T @ kz_centered
+    return max(float(self_centered - f @ f), 0.0)
+
+
+def _one(score, model, z):
+    """Score a single probe through the batch scorer."""
+    out = score(model, np.asarray(z, dtype=np.float64)[None, :])
+    assert out.shape == (1,)
+    return float(out[0])
 
 
 def test_kmeans_k_equals_n_scores_training_rows_zero():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((7, 3))
     m = kmeans_fit(X, k=7, seed=1)
-    assert max(kmeans_score(m, x) for x in X) <= 1e-12
+    assert kmeans_score(m, X).max() <= 1e-12
 
 
 def test_kmeans_single_center_is_mean():
@@ -42,8 +74,8 @@ def test_kmeans_two_blobs_recovers_means():
 
 def test_kmeans_score_is_distance_to_nearest_center():
     m = kmeans_fit(np.array([[0.0, 0.0], [10.0, 0.0]]), k=2, seed=0)
-    assert kmeans_score(m, np.array([0.0, 0.0])) == 0.0
-    assert kmeans_score(m, np.array([13.0, 4.0])) == pytest.approx(5.0, rel=1e-12)
+    assert _one(kmeans_score, m, [0.0, 0.0]) == 0.0
+    assert _one(kmeans_score, m, [13.0, 4.0]) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_kmeans_radial_monotonicity():
@@ -51,7 +83,8 @@ def test_kmeans_radial_monotonicity():
     m = kmeans_fit(rng.standard_normal((15, 3)), k=4, seed=5)
     direction = np.ones(3) / np.sqrt(3.0)
     start = m.centers.mean(axis=0)
-    scores = [kmeans_score(m, start + r * direction) for r in np.linspace(5.0, 50.0, 8)]
+    Z = start + np.linspace(5.0, 50.0, 8)[:, None] * direction
+    scores = kmeans_score(m, Z)
     assert all(s1 <= s2 + 1e-12 for s1, s2 in zip(scores, scores[1:]))
 
 
@@ -75,20 +108,20 @@ def test_kmeans_permutation_invariant():
 def test_knndd_zero_on_training_row():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((10, 3))
-    assert knndd_score(X, X[4], k=1) == 0.0
+    assert _one(knndd_score, knndd_fit(X, k=1), X[4]) == 0.0
 
 
 def test_knndd_lattice_ratio_one():
     # unit grid: every point's nearest neighbor is one lattice step away
     g = np.array([[i, j] for i in range(5) for j in range(5)], dtype=float)
     z = np.array([-1.0, 0.0])
-    assert knndd_score(g, z, k=1) == pytest.approx(1.0, rel=1e-12)
+    assert _one(knndd_score, knndd_fit(g, k=1), z) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_knndd_far_probe_large():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((12, 2))
-    assert knndd_score(X, np.array([500.0, 500.0]), k=3) > 50.0
+    assert _one(knndd_score, knndd_fit(X, k=3), [500.0, 500.0]) > 50.0
 
 
 def test_knndd_k_bounds():
@@ -101,10 +134,11 @@ def test_knndd_k_bounds():
 
 def test_knndd_duplicate_rows():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    m = knndd_fit(X, k=1)
     # probe sits on the duplicated point: 0 / 0 counts as no novelty
-    assert knndd_score(X, np.array([0.0, 0.0]), k=1) == 0.0
+    assert _one(knndd_score, m, [0.0, 0.0]) == 0.0
     # probe near the duplicated point: positive / 0 blows up
-    assert knndd_score(X, np.array([0.3, 0.3]), k=1) == np.inf
+    assert _one(knndd_score, m, [0.3, 0.3]) == np.inf
 
 
 def test_knndd_permutation_invariant():
@@ -112,14 +146,15 @@ def test_knndd_permutation_invariant():
     X = rng.standard_normal((18, 4))
     perm = rng.permutation(18)
     z = rng.standard_normal(4)
-    assert knndd_score(X, z, k=4) == knndd_score(X[perm], z, k=4)
+    assert (_one(knndd_score, knndd_fit(X, k=4), z)
+            == _one(knndd_score, knndd_fit(X[perm], k=4), z))
 
 
 def test_kpca_full_rank_training_residuals_zero():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((12, 3))
     m = kpca_fit(X, KernelSpec(sigma=1.5), q=11)
-    assert max(kpca_score(m, x) for x in X) <= 1e-8
+    assert kpca_score(m, X).max() <= 1e-8
 
 
 def test_kpca_eigenvalues_descending():
@@ -152,8 +187,7 @@ def test_kpca_line_manifold_low_rank():
     t = rng.uniform(-2.0, 2.0, 30)
     X = np.stack([t, 2.0 * t], axis=1)
     m = kpca_fit(X, KernelSpec(sigma=40.0), q=2)
-    on = kpca_score(m, np.array([1.3, 2.6]))
-    off = kpca_score(m, np.array([2.6, 1.3]))
+    on, off = kpca_score(m, np.array([[1.3, 2.6], [2.6, 1.3]]))
     assert on <= 1e-6
     assert on <= 1e-3 * off
 
@@ -163,7 +197,7 @@ def test_kpca_residual_nonnegative_and_monotone_in_q():
     X = rng.standard_normal((16, 3))
     spec = KernelSpec(sigma=1.4)
     z = rng.standard_normal(3)
-    residuals = [kpca_score(kpca_fit(X, spec, q=q), z) for q in (1, 3, 6, 10, 15)]
+    residuals = [_one(kpca_score, kpca_fit(X, spec, q=q), z) for q in (1, 3, 6, 10, 15)]
     assert min(residuals) >= 0.0
     assert all(r1 >= r2 - 1e-10 for r1, r2 in zip(residuals, residuals[1:]))
 
@@ -181,8 +215,8 @@ def test_kpca_score_batch_matches_scalar():
     X = rng.standard_normal((14, 3))
     m = kpca_fit(X, KernelSpec(sigma=1.1), q=4)
     Z = rng.standard_normal((5, 3))
-    batch = kpca_score_batch(m, Z)
-    each = np.array([kpca_score(m, z) for z in Z])
+    batch = kpca_score(m, Z)
+    each = np.array([_kpca_score_ref(m, z) for z in Z])
     np.testing.assert_allclose(batch, each, rtol=1e-10, atol=1e-12)
 
 
@@ -192,17 +226,17 @@ def test_kpca_permutation_invariant_scores():
     perm = rng.permutation(20)
     spec = KernelSpec(sigma=1.5)
     z = rng.standard_normal(3)
-    a = kpca_score(kpca_fit(X, spec, q=4), z)
-    b = kpca_score(kpca_fit(X[perm], spec, q=4), z)
-    # exact in exact arithmetic; the iterative eigensolver leaves
-    # gap-limited vector error well below this
+    a = _one(kpca_score, kpca_fit(X, spec, q=4), z)
+    b = _one(kpca_score, kpca_fit(X[perm], spec, q=4), z)
+    # exact in exact arithmetic; the eigensolver's rounding depends on
+    # row order and stays well below this
     assert a == pytest.approx(b, rel=1e-4, abs=1e-8)
 
 
 def test_default_component_count_matches_mass_rule():
     X = np.random.default_rng(18).standard_normal((25, 4))
     spec = KernelSpec(sigma=1.0)
-    q = default_component_count(X, spec)
+    q = kpca_fit(X, spec).coeffs.shape[1]
     eig = np.clip(np.linalg.eigvalsh(_centered_gram(X, spec)[0])[::-1], 0.0, None)
     cum = np.cumsum(eig) / eig.sum()
     expect = int(np.searchsorted(cum, 0.95) + 1)
@@ -211,13 +245,56 @@ def test_default_component_count_matches_mass_rule():
 
 def test_default_component_count_rank_one_structure():
     X = np.vstack([np.zeros((10, 2)), np.ones((10, 2))])
-    assert default_component_count(X, KernelSpec(sigma=1.0)) == 1
+    assert kpca_fit(X, KernelSpec(sigma=1.0)).coeffs.shape[1] == 1
 
 
-def test_eigen_iteration_budget_enforced(monkeypatch):
-    import ocksr.baselines as bl
+def test_eigensolver_failure_raises_typed_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(bl, "_EIG_MAX_ITER", 1)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     X = np.random.default_rng(19).standard_normal((12, 3))
-    with pytest.raises(EigenSolverDidNotConverge):
-        bl.kpca_fit(X, KernelSpec(sigma=1.0), q=3)
+    with pytest.raises(EigenSolverDidNotConverge, match="did not converge"):
+        kpca_fit(X, KernelSpec(sigma=1.0), q=3)
+
+
+@pytest.mark.parametrize("seed, q", [(637, 24), (705, 26), (707, 25)])
+def test_kpca_default_fit_matches_dense_spectrum(seed, q):
+    # these draws stalled an earlier iterative eigensolver
+    X = np.random.default_rng(seed).standard_normal((50, 10))
+    spec = KernelSpec(sigma=median_pairwise_distance(X))
+    m = kpca_fit(X, spec)
+    assert m.coeffs.shape[1] == q
+    dense = np.linalg.eigvalsh(_centered_gram(X, spec)[0])[::-1][:q]
+    np.testing.assert_allclose(m.eigenvalues, dense, rtol=1e-8)
+
+
+@given(st.integers(0, 10**6), st.integers(2, 14), st.integers(1, 4),
+       st.integers(1, 8), st.integers(0, 4), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_batch_scorers_match_per_probe_references(seed, n, d, m, n_dup, on_grid):
+    rng = np.random.default_rng(seed)
+    # integer grid coordinates make exact distance ties common
+    X = (rng.integers(-2, 3, (n, d)) if on_grid else rng.standard_normal((n, d))).astype(float)
+    X[rng.integers(0, n, n_dup)] = X[rng.integers(0, n, n_dup)]  # duplicate rows
+    fresh = rng.integers(-3, 4, (m, d)) if on_grid else 3.0 * rng.standard_normal((m, d))
+    Z = np.vstack([fresh, X[rng.integers(0, n, 3)]])  # probes on training rows too
+    k = int(rng.integers(1, n))
+
+    models = [(kmeans_score, _kmeans_score_ref, kmeans_fit(X, int(rng.integers(1, n + 1)), seed)),
+              (knndd_score, _knndd_score_ref, knndd_fit(X, k))]
+    for batch_score, ref, model in models:
+        got = batch_score(model, Z)
+        want = np.array([ref(model, z) for z in Z])
+        assert got.shape == (Z.shape[0],)
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0)
+
+    spec = KernelSpec(sigma=float(rng.uniform(0.5, 3.0)))
+    # components past the numerical rank carry coefficients near
+    # 1/sqrt(eps), which amplify rounding in either path alike
+    lam = np.linalg.eigvalsh(_centered_gram(X, spec)[0])[::-1]
+    kpca = kpca_fit(X, spec, q=max(1, min(k, int((lam > 1e-6 * lam[0]).sum()))))
+    want = np.array([_kpca_score_ref(kpca, z) for z in Z])
+    np.testing.assert_allclose(kpca_score(kpca, Z), want, rtol=1e-10, atol=1e-12)

@@ -63,6 +63,18 @@ def test_factor_reproduces_matrix(seed, n):
     assert np.linalg.norm(R.T @ R - K) / np.linalg.norm(K) <= 1e-10
 
 
+@given(st.integers(0, 10**6), st.integers(1, 60))
+@settings(max_examples=40, deadline=None)
+def test_factor_leaves_input_intact(seed, n):
+    # the fit ladder rewrites one Gram diagonal between factorizations, so
+    # factoring must not write into K
+    K = _random_spd(np.random.default_rng(seed), n)
+    before = K.copy()
+    R = factor_batch(K).R
+    np.testing.assert_array_equal(K, before)
+    assert np.linalg.norm(R.T @ R - K) / np.linalg.norm(K) <= 1e-10
+
+
 def test_factor_init_cases():
     np.testing.assert_array_equal(factor_init(1.0).R, [[1.0]])
     np.testing.assert_array_equal(factor_init(4.0).R, [[2.0]])

@@ -67,6 +67,19 @@ def test_load_csv_invalid_label(tmp_path):
         load_csv(p, label_column=0)
 
 
+def test_load_csv_errors_name_line_and_column(tmp_path):
+    # header on line 1, so data rows start on line 2
+    p = _write(tmp_path / "d.csv", "label,x0,x1\n1,0.5,2.0\n1,1.5,x\n")
+    with pytest.raises(DataFormatError, match="non-numeric value 'x' at line 3, column 2"):
+        load_csv(p, label_column=0)
+    p = _write(tmp_path / "e.csv", "label,x0\n1,0.5\n0,1.5\n0.5,2.5\n")
+    with pytest.raises(DataFormatError,
+                       match=r"invalid label '0.5' at line 4 \(must be 0 or 1\)"):
+        load_csv(p, label_column=0)
+    with pytest.raises(DataFormatError, match="non-numeric value 'x' at line 3, column 2"):
+        load_features_csv(str(tmp_path / "d.csv"))
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(DataFormatError, match="no such file"):
         load_csv(str(tmp_path / "absent.csv"), label_column=0)

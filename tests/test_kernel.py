@@ -8,7 +8,6 @@ from ocksr.kernel import (
     gram,
     kernel_cross,
     kernel_eval,
-    kernel_vector,
     median_pairwise_distance,
 )
 
@@ -127,28 +126,28 @@ def test_gram_records_spec():
     assert g.spec == spec and g.K.shape == (3, 3)
 
 
-def test_kernel_vector_matches_gram_column():
+def test_kernel_cross_one_row_matches_gram_column():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((8, 3))
     spec = KernelSpec(sigma=1.1)
     K = gram(X, spec).K
     for j in (0, 3, 7):
-        np.testing.assert_allclose(kernel_vector(X, X[j], spec), K[:, j],
+        np.testing.assert_allclose(kernel_cross(X, X[j:j + 1], spec)[0], K[:, j],
                                    rtol=0, atol=1e-14)
 
 
-def test_kernel_vector_scalar_oracle():
+def test_kernel_cross_one_row_scalar_oracle():
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
-    z = np.array([1.0, 0.0])
-    expect = [np.exp(-0.125), np.exp(-0.125)]
-    np.testing.assert_allclose(kernel_vector(X, z, KernelSpec(sigma=2.0)), expect,
+    z = np.array([[1.0, 0.0]])
+    expect = [[np.exp(-0.125), np.exp(-0.125)]]
+    np.testing.assert_allclose(kernel_cross(X, z, KernelSpec(sigma=2.0)), expect,
                                rtol=1e-14)
 
 
-def test_kernel_vector_carries_no_ridge():
+def test_kernel_cross_one_row_carries_no_ridge():
     X = np.array([[0.0], [2.0]])
-    v = kernel_vector(X, np.array([0.0]), KernelSpec(sigma=1.0, delta=0.5))
-    assert v[0] == 1.0
+    v = kernel_cross(X, np.array([[0.0]]), KernelSpec(sigma=1.0, delta=0.5))
+    assert v[0, 0] == 1.0
 
 
 def test_kernel_cross_shape_and_decay():

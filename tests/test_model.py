@@ -244,6 +244,31 @@ def test_delta_ladder_escalates_on_duplicates(caplog):
     np.testing.assert_allclose(project_train(m), np.ones(4), atol=1e-4)
 
 
+def test_escalated_fit_matches_direct_fit_at_that_delta():
+    # the ladder reuses one Gram matrix and rewrites only its diagonal, so a
+    # failed rung must leave nothing behind in the next one
+    X = np.random.default_rng(21).standard_normal((12, 3))
+    X[5] = X[2]
+    X[9] = X[2]
+    esc = fit(X, KernelSpec(sigma=1.0, delta=0.0))
+    assert esc.spec.delta in DELTA_LADDER
+    direct = fit(X, esc.spec)
+    assert direct.spec == esc.spec
+    np.testing.assert_array_equal(esc.alpha, direct.alpha)
+    np.testing.assert_array_equal(esc.factor.packed, direct.factor.packed)
+
+
+def test_featureless_rows_fit_append_and_score():
+    # zero features: every row coincides, and the BLAS products are skipped
+    spec = KernelSpec(delta=0.5)
+    inc = fit_incremental(fit(np.zeros((3, 0)), spec), np.zeros((1, 0)))
+    ref = fit(np.zeros((4, 0)), spec)
+    np.testing.assert_allclose(inc.alpha, ref.alpha, rtol=1e-12)
+    np.testing.assert_allclose(inc.alpha, np.full(4, 1.0 / 4.5), rtol=1e-12)
+    proj, _ = score_batch(inc, np.zeros((2, 0)))
+    np.testing.assert_allclose(proj, np.full(2, 4.0 / 4.5), rtol=1e-12)
+
+
 def test_requested_delta_retained():
     X = np.random.default_rng(14).standard_normal((10, 4))
     m = fit(X, KernelSpec(sigma=1.0, delta=1e-6))
@@ -291,6 +316,19 @@ def test_save_reorders_rows_positives_first(tmp_path):
     Z = rng.standard_normal((6, 3))
     np.testing.assert_allclose(score_batch(back, Z)[1], score_batch(m, Z)[1],
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_append_to_loaded_non_finite_model_rejected(tmp_path, bad):
+    # a model file is outside input: its rows are checked before factoring
+    X = np.random.default_rng(22).standard_normal((6, 2))
+    m = fit(X, KernelSpec(sigma=1.0, delta=1e-6))
+    X_bad = X.copy()
+    X_bad[3, 1] = bad
+    path = str(tmp_path / "nan.bin")
+    save_model(Model(X_bad, m.alpha, m.nu, m.spec), path)
+    with pytest.raises(ValueError, match="non-finite"):
+        fit_incremental(load_model(path), np.zeros((1, 2)))
 
 
 def test_load_rejects_bad_magic(tmp_path):
