@@ -8,14 +8,17 @@ triangular solve, while the existing factor is untouched.
 
 R is held column-packed (BLAS upper packed layout), so an appended
 column is a contiguous write at the tail of the buffer and the
-triangular solves run on the packed storage without copying.  Buffers
-carry spare capacity and are shared between a factor and its
-extensions: extending the newest factor appends in place, extending an
-older one copies first.  Factors are immutable values; extending the
-same factor from two threads at once requires external serialization.
+triangular solves run on the packed storage without copying.  The
+buffer is a ``_Tail`` with spare capacity, shared between a factor and
+its extensions: extending the newest factor appends in place, extending
+an older one copies first.  Factors are immutable values, and extending
+one factor from several threads at once is safe: one extension claims
+the buffer's tip, the others copy.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 from scipy.linalg.blas import dtpsv
@@ -34,19 +37,37 @@ class NotPositiveDefinite(Exception):
         super().__init__(message or f"nonpositive pivot at index {pivot_index}")
 
 
-def _slack(m: int) -> int:
-    return m + max(64, m // 4)
+class _Tail:
+    """Growable 1-D float64 buffer shared by a chain of values.
 
+    Each value in the chain owns a prefix ``buf[:used]``; ``tip`` is the
+    longest prefix any value owns.  Written entries never change, so a
+    value extends in place only while its prefix reaches the tip, and
+    claims the tip under the lock first: of several values extending the
+    same prefix, one writes in place and the others copy.
+    """
 
-class _PackedStorage:
-    """Growable column-packed triangle shared by a chain of factors."""
+    __slots__ = ("buf", "tip", "_lock")
 
-    __slots__ = ("buf", "cap", "tip")
-
-    def __init__(self, capacity_orders: int):
-        self.cap = capacity_orders
-        self.buf = np.zeros(capacity_orders * (capacity_orders + 1) // 2)
+    def __init__(self, capacity: int = 0):
+        self.buf = np.empty(capacity)
         self.tip = 0
+        self._lock = threading.Lock()
+
+    def extend(self, used: int, values) -> "_Tail":
+        """The tail holding ``buf[:used]`` followed by ``values``."""
+        n = used + len(values)
+        with self._lock:
+            claimed = self.tip == used and self.buf.shape[0] >= n
+            if claimed:
+                self.tip = n
+        tail = self
+        if not claimed:
+            tail = _Tail(n + max(64, n // 4))
+            tail.buf[:used] = self.buf[:used]
+            tail.tip = n
+        tail.buf[used:n] = values
+        return tail
 
 
 def _pack(R: np.ndarray) -> np.ndarray:
@@ -63,25 +84,21 @@ class CholeskyFactor:
     tolerance as batch factorization.
     """
 
-    __slots__ = ("_storage", "_m", "_max_diag")
+    __slots__ = ("_tail", "_m", "_max_diag")
 
     def __init__(self, R, max_diag: float | None = None):
         R = np.asarray(R, dtype=np.float64)
         if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] < 1:
             raise ValueError("R must be a square matrix of order >= 1")
-        m = R.shape[0]
-        storage = _PackedStorage(_slack(m))
-        storage.buf[: m * (m + 1) // 2] = _pack(R)
-        storage.tip = m
-        self._storage = storage
-        self._m = m
+        self._tail = _Tail().extend(0, _pack(R))
+        self._m = R.shape[0]
         diag = np.diag(R) ** 2
         self._max_diag = float(diag.max()) if max_diag is None else float(max_diag)
 
     @classmethod
-    def _wrap(cls, storage: _PackedStorage, m: int, max_diag: float) -> "CholeskyFactor":
+    def _wrap(cls, tail: _Tail, m: int, max_diag: float) -> "CholeskyFactor":
         obj = object.__new__(cls)
-        obj._storage = storage
+        obj._tail = tail
         obj._m = m
         obj._max_diag = max_diag
         return obj
@@ -94,7 +111,7 @@ class CholeskyFactor:
     @property
     def packed(self) -> np.ndarray:
         """Read-only view of the column-packed upper triangle."""
-        view = self._storage.buf[: self._m * (self._m + 1) // 2].view()
+        view = self._tail.buf[: self._m * (self._m + 1) // 2].view()
         view.setflags(write=False)
         return view
 
@@ -103,7 +120,7 @@ class CholeskyFactor:
         """The factor as a dense upper-triangular matrix (built on demand)."""
         m = self._m
         out = np.zeros((m, m))
-        out.T[np.tril_indices(m)] = self._storage.buf[: m * (m + 1) // 2]
+        out.T[np.tril_indices(m)] = self._tail.buf[: m * (m + 1) // 2]
         out.setflags(write=False)
         return out
 
@@ -112,7 +129,7 @@ class CholeskyFactor:
         if not 0 <= j < self._m:
             raise IndexError(f"column {j} out of range for order {self._m}")
         lo = j * (j + 1) // 2
-        view = self._storage.buf[lo: lo + j + 1].view()
+        view = self._tail.buf[lo: lo + j + 1].view()
         view.setflags(write=False)
         return view
 
@@ -150,22 +167,8 @@ def factor_batch(K) -> CholeskyFactor:
     if small.size:
         raise NotPositiveDefinite(int(small[0]))
 
-    m = K.shape[0]
-    storage = _PackedStorage(_slack(m))
-    storage.buf[: m * (m + 1) // 2] = _pack(R)
-    storage.tip = m
-    return CholeskyFactor._wrap(storage, m, float(np.diag(K).max()))
-
-
-def factor_init(k11: float) -> CholeskyFactor:
-    """Order-1 factor of the scalar matrix [[k11]]."""
-    k11 = float(k11)
-    if not np.isfinite(k11) or k11 <= 0.0:
-        raise NotPositiveDefinite(0)
-    storage = _PackedStorage(_slack(1))
-    storage.buf[0] = np.sqrt(k11)
-    storage.tip = 1
-    return CholeskyFactor._wrap(storage, 1, k11)
+    return CholeskyFactor._wrap(_Tail().extend(0, _pack(R)), K.shape[0],
+                                float(np.diag(K).max()))
 
 
 def factor_extend(factor: CholeskyFactor, k_new, k_diag: float) -> CholeskyFactor:
@@ -189,22 +192,13 @@ def factor_extend(factor: CholeskyFactor, k_new, k_diag: float) -> CholeskyFacto
         raise ValueError("new row contains non-finite entries")
 
     lo = m * (m + 1) // 2
-    r_col = dtpsv(m, factor._storage.buf[:lo], k_new, lower=0, trans=1)
+    r_col = dtpsv(m, factor._tail.buf[:lo], k_new, lower=0, trans=1)
     schur = k_diag - float(r_col @ r_col)
     max_diag = max(factor._max_diag, k_diag)
     if schur <= PIVOT_EPS * max_diag:
         raise NotPositiveDefinite(m)
-
-    storage = factor._storage
-    if factor._m != storage.tip or storage.cap < m + 1:
-        grown = _PackedStorage(_slack(m + 1))
-        grown.buf[:lo] = storage.buf[:lo]
-        grown.tip = m
-        storage = grown
-    storage.buf[lo: lo + m] = r_col
-    storage.buf[lo + m] = np.sqrt(schur)
-    storage.tip = m + 1
-    return CholeskyFactor._wrap(storage, m + 1, max_diag)
+    tail = factor._tail.extend(lo, np.concatenate((r_col, [np.sqrt(schur)])))
+    return CholeskyFactor._wrap(tail, m + 1, max_diag)
 
 
 def _check_rhs(factor: CholeskyFactor, b) -> np.ndarray:
@@ -219,14 +213,14 @@ def solve_lower_transposed(factor: CholeskyFactor, b) -> np.ndarray:
     """Solve R^T theta = b by forward substitution."""
     b = _check_rhs(factor, b)
     m = factor._m
-    return dtpsv(m, factor._storage.buf[: m * (m + 1) // 2], b, lower=0, trans=1)
+    return dtpsv(m, factor._tail.buf[: m * (m + 1) // 2], b, lower=0, trans=1)
 
 
 def solve_upper(factor: CholeskyFactor, theta) -> np.ndarray:
     """Solve R alpha = theta by back substitution."""
     theta = _check_rhs(factor, theta)
     m = factor._m
-    return dtpsv(m, factor._storage.buf[: m * (m + 1) // 2], theta, lower=0, trans=0)
+    return dtpsv(m, factor._tail.buf[: m * (m + 1) // 2], theta, lower=0, trans=0)
 
 
 def solve_spd(factor: CholeskyFactor, b) -> np.ndarray:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaincc
-from scipy.stats import rankdata
 
 from . import baselines, model as ocksr_model
 from .dataset import Dataset, random_split
@@ -43,6 +42,21 @@ class ScoredSet:
         object.__setattr__(self, "labels", labels)
 
 
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks of ``values``, ties given their average rank.
+
+    Equals ``scipy.stats.rankdata`` (method "average"), NaN propagating to
+    every rank, without importing ``scipy.stats``.
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
+    ordered = np.sort(values)
+    if ordered.size and np.isnan(ordered[-1]):
+        return np.full(values.shape, np.nan)
+    first = np.searchsorted(ordered, values, side="left")
+    past = np.searchsorted(ordered, values, side="right")
+    return (first + past + 1) / 2.0
+
+
 def roc_auc(scored: ScoredSet) -> float:
     """Mann-Whitney AUC of outlier-over-target score orderings.
 
@@ -53,7 +67,7 @@ def roc_auc(scored: ScoredSet) -> float:
     n_tar = int((labels == 1).sum())
     if n_out == 0 or n_tar == 0:
         raise ValueError("AUC needs at least one target and one outlier")
-    ranks = rankdata(scored.scores)
+    ranks = _average_ranks(scored.scores)
     numerator = float(ranks[labels == 0].sum()) - n_out * (n_out + 1) / 2.0
     return numerator / (n_out * n_tar)
 
@@ -241,7 +255,7 @@ def friedman_ranks(auc_table) -> np.ndarray:
     table = np.atleast_2d(np.asarray(auc_table, dtype=np.float64))
     if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 2:
         raise ValueError("need at least 1 dataset and 2 methods")
-    ranks = np.vstack([rankdata(-row) for row in table])
+    ranks = np.vstack([_average_ranks(-row) for row in table])
     return ranks.mean(axis=0)
 
 
@@ -374,7 +388,7 @@ def bench_run(
         report.p_value = result.p_value
         report.ranked_datasets = complete
         for i, d in enumerate(complete):
-            row_ranks = rankdata(-table[i])
+            row_ranks = _average_ranks(-table[i])
             report.per_dataset_ranks[d] = dict(zip(methods, row_ranks.tolist()))
     return report
 

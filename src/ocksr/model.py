@@ -21,6 +21,7 @@ import numpy as np
 from .cholesky import (
     CholeskyFactor,
     NotPositiveDefinite,
+    _Tail,
     factor_batch,
     factor_extend,
     solve_lower_transposed,
@@ -47,59 +48,22 @@ class Decision(Enum):
     OUTLIER = "outlier"
 
 
-class _StreamState:
-    """Growable row and solve caches shared by a chain of appended models.
-
-    Holds the training rows, their squared norms, and the half-solved
-    response theta = R^-T nu in buffers with spare capacity, so an append
-    costs one kernel row, one bordered factor column, and one scalar
-    theta entry, with the final coefficients a single back substitution.
-    Appending to the newest model writes in place; appending to an older
-    one copies first.  Single writer per chain, like the factor storage.
-    """
-
-    __slots__ = ("X", "sq", "theta", "tip")
-
-    def __init__(self, capacity: int, d: int):
-        self.X = np.zeros((capacity, d))
-        self.sq = np.zeros(capacity)
-        self.theta = np.zeros(capacity)
-        self.tip = 0
-
-    @classmethod
-    def from_rows(cls, X: np.ndarray, theta: np.ndarray) -> "_StreamState":
-        n = X.shape[0]
-        state = cls(n + max(64, n // 4), X.shape[1])
-        state.X[:n] = X
-        state.sq[:n] = np.einsum("ij,ij->i", X, X)
-        state.theta[:n] = theta
-        state.tip = n
-        return state
-
-    def append(self, row: np.ndarray, sq: float, theta: float,
-               m: int) -> "_StreamState":
-        state = self
-        if m != self.tip or self.X.shape[0] < m + 1:
-            state = _StreamState(m + 1 + max(64, (m + 1) // 4), self.X.shape[1])
-            state.X[:m] = self.X[:m]
-            state.sq[:m] = self.sq[:m]
-            state.theta[:m] = self.theta[:m]
-        state.X[m] = row
-        state.sq[m] = sq
-        state.theta[m] = theta
-        state.tip = m + 1
-        return state
-
-
 @dataclass(frozen=True)
 class Model:
     """Trained one-class model.
 
     ``nu`` is the response vector the coefficients were solved against:
     1 for positive rows and 0 for negative rows, in the order the rows
-    are retained.  ``n_neg`` counts the negative rows.  ``factor`` and
-    ``stream`` are in-memory caches enabling cheap appends; neither is
-    serialized, and both are rebuilt on demand after loading.
+    are retained.  ``n_neg`` counts the negative rows.
+
+    ``factor`` (the Cholesky factor R of the regularized Gram matrix)
+    and ``tails`` are in-memory caches that make an append cost one
+    kernel row and one bordered factor column.  ``tails`` holds three
+    ``cholesky._Tail`` buffers: the rows, flattened, with ``X_train`` a
+    view of their prefix; their squared norms; and theta = R^-T nu.
+    Models appended from one another share these buffers.  Neither cache
+    is serialized, and both are rebuilt on the first append after
+    loading.
     """
 
     X_train: np.ndarray
@@ -108,9 +72,9 @@ class Model:
     spec: KernelSpec
     n_neg: int = 0
     tau: float | None = None
-    target_mean: float = TARGET_MEAN
     factor: CholeskyFactor | None = field(default=None, repr=False, compare=False)
-    stream: _StreamState | None = field(default=None, repr=False, compare=False)
+    tails: tuple[_Tail, _Tail, _Tail] | None = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         X = np.ascontiguousarray(np.asarray(self.X_train, dtype=np.float64))
@@ -184,6 +148,17 @@ def _solve_with_ladder(
     raise last
 
 
+def _with_caches(X: np.ndarray, alpha: np.ndarray, nu: np.ndarray,
+                 spec: KernelSpec, n_neg: int, factor: CholeskyFactor,
+                 theta: np.ndarray) -> Model:
+    """A model whose rows, row norms and theta live in fresh tails."""
+    rows = _Tail().extend(0, X.ravel())
+    tails = (rows, _Tail().extend(0, np.einsum("ij,ij->i", X, X)),
+             _Tail().extend(0, theta))
+    return Model(rows.buf[: X.size].reshape(X.shape), alpha, nu, spec,
+                 n_neg=n_neg, factor=factor, tails=tails)
+
+
 def fit(X_pos, spec: KernelSpec) -> Model:
     """Train on target rows only.
 
@@ -194,9 +169,7 @@ def fit(X_pos, spec: KernelSpec) -> Model:
     X = _as_rows(X_pos)
     nu = np.ones(X.shape[0])
     alpha, factor, eff, theta = _solve_with_ladder(X, nu, spec)
-    stream = _StreamState.from_rows(X, theta)
-    return Model(stream.X[: X.shape[0]], alpha, nu, eff, n_neg=0,
-                 factor=factor, stream=stream)
+    return _with_caches(X, alpha, nu, eff, 0, factor, theta)
 
 
 def fit_supervised(X_pos, X_neg, spec: KernelSpec) -> Model:
@@ -213,20 +186,18 @@ def fit_supervised(X_pos, X_neg, spec: KernelSpec) -> Model:
     X = np.vstack([X_pos, X_neg])
     nu = np.concatenate([np.ones(X_pos.shape[0]), np.zeros(X_neg.shape[0])])
     alpha, factor, eff, theta = _solve_with_ladder(X, nu, spec)
-    stream = _StreamState.from_rows(X, theta)
-    return Model(stream.X[: X.shape[0]], alpha, nu, eff, n_neg=X_neg.shape[0],
-                 factor=factor, stream=stream)
+    return _with_caches(X, alpha, nu, eff, X_neg.shape[0], factor, theta)
 
 
-def _rebuild_caches(model: Model) -> tuple[CholeskyFactor, _StreamState]:
+def _rebuild_caches(model: Model) -> Model:
+    if model.factor is not None and model.tails is not None:
+        return model
     factor = model.factor
     if factor is None:
         factor = factor_batch(gram(model.X_train, model.spec).K)
-    stream = model.stream
-    if stream is None:
-        theta = solve_lower_transposed(factor, model.nu)
-        stream = _StreamState.from_rows(model.X_train, theta)
-    return factor, stream
+    theta = solve_lower_transposed(factor, model.nu)
+    return _with_caches(model.X_train, model.alpha, model.nu, model.spec,
+                        model.n_neg, factor, theta)
 
 
 def fit_incremental(model: Model, X_new) -> Model:
@@ -247,23 +218,30 @@ def fit_incremental(model: Model, X_new) -> Model:
     if X_new is None or X_new.shape[0] == 0:
         return model
 
-    factor, stream = _rebuild_caches(model)
+    cached = _rebuild_caches(model)
+    n, d = model.n, model.d
+    n_all = n + X_new.shape[0]
+    rows, sq, theta = cached.tails
+    rows = rows.extend(n * d, X_new.ravel())
+    sq = sq.extend(n, [row @ row for row in X_new])
+    X, sq_all = rows.buf[: n_all * d].reshape(n_all, d), sq.buf[:n_all]
+    # theta's entries arrive one per row, each a dot with all before it
+    theta_all = np.empty(n_all)
+    theta_all[:n] = theta.buf[:n]
+    factor = cached.factor
     spec = model.spec
-    m = model.n
-    for row in X_new:
-        sq = float(row @ row)
-        k_new = _kernel_rows(row[None, :], np.array([sq]), stream.X[:m],
-                             stream.sq[:m], spec)[0]
+    for m in range(n, n_all):
+        k_new = _kernel_rows(X[m: m + 1], sq_all[m: m + 1], X[:m], sq_all[:m],
+                             spec)[0]
         # self-kernel of the rbf family is exactly 1
         factor = factor_extend(factor, k_new, 1.0 + spec.delta)
         col = factor.column(m)
-        theta = (1.0 - col[:m] @ stream.theta[:m]) / col[m]
-        stream = stream.append(row, sq, theta, m)
-        m += 1
+        theta_all[m] = (1.0 - col[:m] @ theta_all[:m]) / col[m]
+    theta = theta.extend(n, theta_all[n:])
     nu = np.concatenate([model.nu, np.ones(X_new.shape[0])])
-    alpha = solve_upper(factor, stream.theta[:m])
-    return Model(stream.X[:m], alpha, nu, spec, n_neg=model.n_neg,
-                 tau=model.tau, factor=factor, stream=stream)
+    alpha = solve_upper(factor, theta_all)
+    return Model(X, alpha, nu, spec, n_neg=model.n_neg, tau=model.tau,
+                 factor=factor, tails=(rows, sq, theta))
 
 
 def score_batch(model: Model, Z) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +251,7 @@ def score_batch(model: Model, Z) -> tuple[np.ndarray, np.ndarray]:
     value 1; small novelty means target-like.
     """
     projections = kernel_cross(model.X_train, Z, model.spec) @ model.alpha
-    return projections, np.abs(projections - model.target_mean)
+    return projections, np.abs(projections - TARGET_MEAN)
 
 
 def score(model: Model, z) -> tuple[float, float]:

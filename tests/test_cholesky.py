@@ -8,7 +8,6 @@ from ocksr.cholesky import (
     NotPositiveDefinite,
     factor_batch,
     factor_extend,
-    factor_init,
     solve_lower_transposed,
     solve_spd,
     solve_upper,
@@ -75,16 +74,23 @@ def test_factor_leaves_input_intact(seed, n):
     assert np.linalg.norm(R.T @ R - K) / np.linalg.norm(K) <= 1e-10
 
 
-def test_factor_init_cases():
-    np.testing.assert_array_equal(factor_init(1.0).R, [[1.0]])
-    np.testing.assert_array_equal(factor_init(4.0).R, [[2.0]])
+def _order_one(k11):
+    return factor_batch(np.array([[k11]]))
+
+
+def test_order_one_factor_cases():
+    np.testing.assert_array_equal(_order_one(1.0).R, [[1.0]])
+    np.testing.assert_array_equal(_order_one(4.0).R, [[2.0]])
     with pytest.raises(NotPositiveDefinite) as exc:
-        factor_init(0.0)
+        _order_one(0.0)
+    assert exc.value.pivot_index == 0
+    with pytest.raises(NotPositiveDefinite) as exc:
+        _order_one(-1.0)
     assert exc.value.pivot_index == 0
 
 
 def test_extend_matches_batch_two_by_two():
-    f = factor_extend(factor_init(1.0), np.array([0.5]), 1.0)
+    f = factor_extend(_order_one(1.0), np.array([0.5]), 1.0)
     g = factor_batch(np.array([[1.0, 0.5], [0.5, 1.0]]))
     np.testing.assert_allclose(f.R, g.R, rtol=1e-15)
 
@@ -97,7 +103,7 @@ def test_extend_orthogonal_point_appends_unit_pivot():
 
 def test_extend_duplicate_row_rejected():
     with pytest.raises(NotPositiveDefinite) as exc:
-        factor_extend(factor_init(1.0), np.array([1.0]), 1.0)
+        factor_extend(_order_one(1.0), np.array([1.0]), 1.0)
     assert exc.value.pivot_index == 1
 
 
@@ -191,7 +197,7 @@ def test_long_extension_chain_regrows_storage():
     rng = np.random.default_rng(4)
     n = 170  # forces several capacity growths past the initial slack
     K = _random_spd(rng, n)
-    f = factor_init(K[0, 0])
+    f = _order_one(K[0, 0])
     for m in range(1, n):
         f = factor_extend(f, K[:m, m], K[m, m])
     assert f.m == n
@@ -235,7 +241,7 @@ def test_batch_pivot_tolerance_is_relative():
 
 
 def test_extend_pivot_tolerance_is_relative():
-    f = factor_init(4.0)
+    f = _order_one(4.0)
     with pytest.raises(NotPositiveDefinite):
         factor_extend(f, np.array([0.0]), 4.0 * PIVOT_EPS * 0.5)
     factor_extend(f, np.array([0.0]), 4.0 * PIVOT_EPS * 40.0)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -77,6 +80,23 @@ def test_auc_equals_pair_oracle(seed, n_out, n_tar, quantize):
     labels = np.concatenate([np.zeros(n_out, np.int64), np.ones(n_tar, np.int64)])
     rng.shuffle(labels)
     assert roc_auc(ScoredSet(scores, labels)) == _pair_auc(scores, labels)
+
+
+@given(st.lists(st.one_of(st.integers(-3, 3).map(float),
+                          st.floats(allow_nan=True, width=64)), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_average_ranks_match_scipy_rankdata(values):
+    # integer values force ties; the float draws add +-0, infinities and NaN
+    np.testing.assert_array_equal(ev._average_ranks(values), rankdata(values))
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    probe = ("import sys, ocksr.cli; "
+             "print([m for m in sys.modules if m.startswith('scipy.stats')])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_auc_invariant_under_monotone_transforms():

@@ -1,10 +1,17 @@
 import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocksr.cholesky import NotPositiveDefinite
+from ocksr.cholesky import (
+    CholeskyFactor,
+    NotPositiveDefinite,
+    factor_batch,
+    factor_extend,
+)
 from ocksr.kernel import KernelSpec, gram
 from ocksr.model import (
     DELTA_LADDER,
@@ -126,6 +133,94 @@ def test_incremental_branches_share_base():
     np.testing.assert_allclose(a.alpha, fit(X[:12], spec).alpha, atol=1e-9)
     ref_b = fit(np.vstack([X[:10], X[12:]]), spec)
     np.testing.assert_allclose(b.alpha, ref_b.alpha, atol=1e-9)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 30),
+       st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=3),
+                min_size=2, max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_interleaved_branches_match_their_batch_fits(seed, n, branches):
+    # every branch grows from one parent in chunks, the branches taking
+    # turns, so each append finds the shared buffers' tip somewhere else
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec(sigma=1.5, delta=1e-8)
+    X = rng.standard_normal((n, 5))
+    base = fit(X, spec)
+    base_alpha = base.alpha.copy()
+    rows = [[rng.standard_normal((k, 5)) for k in chunks] for chunks in branches]
+    models = [base] * len(branches)
+    for step in range(max(len(chunks) for chunks in branches)):
+        for b, chunks in enumerate(rows):
+            if step < len(chunks):
+                models[b] = fit_incremental(models[b], chunks[step])
+    for model, chunks in zip(models, rows):
+        X_all = np.vstack([X] + chunks)
+        np.testing.assert_array_equal(model.X_train, X_all)
+        assert np.abs(model.alpha - fit(X_all, spec).alpha).max() <= 1e-9
+    np.testing.assert_array_equal(base.X_train, X)
+    np.testing.assert_array_equal(base.alpha, base_alpha)
+
+
+def _race(make_base, append, n_threads):
+    """Call ``append(base, i)`` on n_threads threads released at once."""
+    base = make_base()
+    barrier = threading.Barrier(n_threads)
+    results = [None] * n_threads
+
+    def work(i):
+        barrier.wait(timeout=60)
+        try:
+            results[i] = append(base, i)
+        except Exception as exc:  # surfaced by the caller's comparison
+            results[i] = exc
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    return results
+
+
+def test_concurrent_appends_from_one_base_match_batch():
+    # appends from one base on several threads must each claim their own
+    # slots; a frequent GIL switch lets the threads interleave finely
+    rng = np.random.default_rng(20)
+    n, d, n_threads, trials = 400, 16, 4, 40
+    spec = KernelSpec(sigma=float(np.sqrt(d)), delta=1e-8)
+    X = rng.standard_normal((n, d))
+    new = rng.standard_normal((n_threads, d))
+    refs = [fit(np.vstack([X, new[i]]), spec) for i in range(n_threads)]
+    K = gram(np.vstack([X, new]), spec).K
+    ref_factors = [factor_batch(K[np.r_[:n, n + i]][:, np.r_[:n, n + i]]).R
+                   for i in range(n_threads)]
+
+    def extend_model(base, i):
+        return fit_incremental(base, new[i: i + 1])
+
+    def extend_factor(base, i):
+        return factor_extend(base, K[:n, n + i], K[n + i, n + i])
+
+    bad_models = bad_factors = 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(trials):
+            for i, got in enumerate(_race(lambda: fit(X, spec), extend_model,
+                                          n_threads)):
+                bad_models += not (
+                    isinstance(got, Model)
+                    and np.array_equal(got.X_train[n], new[i])
+                    and np.abs(got.alpha - refs[i].alpha).max() <= 1e-9)
+            for i, got in enumerate(_race(lambda: factor_batch(K[:n, :n]),
+                                          extend_factor, n_threads)):
+                bad_factors += not (
+                    isinstance(got, CholeskyFactor)
+                    and np.abs(got.R - ref_factors[i]).max() <= 1e-9)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (bad_models, bad_factors) == (0, 0)
 
 
 def test_incremental_empty_append_returns_model():
