@@ -28,10 +28,11 @@ class Dataset:
     name: str = field(default="dataset")
 
     def __post_init__(self) -> None:
-        X = np.ascontiguousarray(np.asarray(self.X, dtype=np.float64))
+        # views, so that freezing them leaves the caller's arrays writable
+        X = np.ascontiguousarray(np.asarray(self.X, dtype=np.float64)).view()
         if X.ndim != 2:
             raise DataFormatError("feature matrix must be 2-dimensional")
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels, dtype=np.int64).view()
         if labels.ndim != 1 or labels.shape[0] != X.shape[0]:
             raise DataFormatError("labels must be a vector with one entry per row")
         if not np.isfinite(X).all():
@@ -184,31 +185,24 @@ def random_split(
     dataset: Dataset,
     target_train_fraction: float,
     seed: int,
-    outlier_train_fraction: float = 0.0,
 ) -> tuple[Dataset, Dataset]:
     """Split into a train set of targets and a test set of the remainder.
 
     The requested fraction of target rows (seeded, without replacement)
     goes to train; every remaining target plus every outlier goes to
-    test.  ``outlier_train_fraction`` optionally moves that fraction of
-    the outlier rows into train for supervised fitting; it defaults to 0
-    so train normally contains targets only.
+    test.
 
     Args:
         dataset: labeled dataset with at least 2 target rows.
         target_train_fraction: fraction in (0, 1] of targets for train.
         seed: RNG seed; equal seeds give identical splits.
-        outlier_train_fraction: fraction in [0, 1) of outliers for train.
 
     Returns:
         (train, test) datasets preserving original row order within each.
     """
     if not 0.0 < target_train_fraction <= 1.0:
         raise ValueError("target_train_fraction must lie in (0, 1]")
-    if not 0.0 <= outlier_train_fraction < 1.0:
-        raise ValueError("outlier_train_fraction must lie in [0, 1)")
     target_idx = np.flatnonzero(dataset.labels == 1)
-    outlier_idx = np.flatnonzero(dataset.labels == 0)
     if target_idx.size < 2:
         raise ValueError("need at least 2 target rows to split")
 
@@ -216,18 +210,9 @@ def random_split(
     n_train = int(round(target_train_fraction * target_idx.size))
     n_train = min(max(n_train, 1), target_idx.size)
     chosen = rng.permutation(target_idx.size)[:n_train]
-    train_idx = target_idx[np.sort(chosen)]
-
-    if outlier_train_fraction > 0.0 and outlier_idx.size:
-        n_out = int(round(outlier_train_fraction * outlier_idx.size))
-        picked = rng.permutation(outlier_idx.size)[:n_out]
-        train_out = outlier_idx[np.sort(picked)]
-    else:
-        train_out = np.empty(0, dtype=np.int64)
 
     in_train = np.zeros(dataset.n, dtype=bool)
-    in_train[train_idx] = True
-    in_train[train_out] = True
+    in_train[target_idx[chosen]] = True
     test_mask = ~in_train
     train = Dataset(dataset.X[in_train], dataset.labels[in_train],
                     name=f"{dataset.name}[train]")

@@ -179,29 +179,35 @@ def make_scorer(name: str, **params):
 
 def repeated_aucs(
     dataset: Dataset,
-    scorer,
+    scorers,
     repeats: int,
     base_seed: int,
     train_fraction: float = 0.5,
 ) -> np.ndarray:
-    """AUC of each seeded repeat: split, fit on train targets, score test.
+    """AUC table, one row per scorer and one column per seeded repeat.
 
-    Repeat r uses split seed base_seed + r.  Any split or fit failure is
-    re-raised with the repeat index attached.
+    Repeat r draws one split with seed base_seed + r; every scorer fits
+    on its train targets and scores its test rows.  Any split or fit
+    failure is re-raised with the repeat index attached.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    out = np.empty(repeats)
+    out = np.empty((len(scorers), repeats))
     for r in range(repeats):
         seed = base_seed + r
         try:
             train, test = random_split(dataset, train_fraction, seed)
-            fitted = scorer.fit(train.targets())
-            scored = ScoredSet(fitted.novelty(test.X), test.labels)
-            out[r] = roc_auc(scored)
+            targets = train.targets()
+            for i, scorer in enumerate(scorers):
+                scored = ScoredSet(scorer.fit(targets).novelty(test.X), test.labels)
+                out[i, r] = roc_auc(scored)
         except Exception as exc:
             raise RuntimeError(f"repeat {r} (seed {seed}) failed: {exc}") from exc
     return out
+
+
+def _mean_std(aucs: np.ndarray) -> tuple[float, float]:
+    return float(aucs.mean()), (float(aucs.std(ddof=1)) if aucs.size > 1 else 0.0)
 
 
 def repeated_eval(
@@ -215,10 +221,8 @@ def repeated_eval(
 
     A single repeat has standard deviation 0 by definition.
     """
-    aucs = repeated_aucs(dataset, scorer, repeats, base_seed, train_fraction)
-    mean = float(aucs.mean())
-    std = float(aucs.std(ddof=1)) if aucs.size > 1 else 0.0
-    return mean, std
+    return _mean_std(repeated_aucs(dataset, [scorer], repeats, base_seed,
+                                   train_fraction)[0])
 
 
 def best_neighborhood(
@@ -231,15 +235,15 @@ def best_neighborhood(
 ) -> tuple[int, np.ndarray]:
     """Sweep the neighborhood parameter and keep the best mean AUC.
 
-    Ties resolve to the smallest k, so the sweep is deterministic.
+    Every k is scored on the same seeded splits.  The first maximal mean
+    wins, so ties resolve to the earliest k in ``ks`` and a NaN mean
+    never wins.
     """
-    best_k, best_aucs, best_mean = None, None, -np.inf
-    for k in ks:
-        scorer = make_scorer(name, k=k)
-        aucs = repeated_aucs(dataset, scorer, repeats, base_seed, train_fraction)
-        if aucs.mean() > best_mean:
-            best_k, best_aucs, best_mean = k, aucs, float(aucs.mean())
-    return int(best_k), best_aucs
+    ks = [int(k) for k in ks]
+    table = repeated_aucs(dataset, [make_scorer(name, k=k) for k in ks],
+                          repeats, base_seed, train_fraction)
+    best = int(np.nanargmax(table.mean(axis=1)))
+    return ks[best], table[best]
 
 
 # ---------------------------------------------------------------------------
@@ -348,22 +352,15 @@ def bench_run(
         for name in methods:
             cell = BenchCell()
             try:
-                if name in ("kmeans", "knndd") and fixed_k is None:
-                    k, aucs = best_neighborhood(ds, name, repeats, base_seed,
-                                                train_fraction=train_fraction)
-                    cell.param = k
-                elif name in ("kmeans", "knndd"):
-                    scorer = make_scorer(name, k=fixed_k)
-                    aucs = repeated_aucs(ds, scorer, repeats, base_seed,
-                                         train_fraction)
-                    cell.param = fixed_k
+                if name in ("kmeans", "knndd"):
+                    ks = NEIGHBORHOOD_RANGE if fixed_k is None else (fixed_k,)
+                    cell.param, aucs = best_neighborhood(ds, name, repeats, base_seed,
+                                                         ks, train_fraction)
                 else:
-                    scorer = make_scorer(name, sigma=sigma)
-                    aucs = repeated_aucs(ds, scorer, repeats, base_seed,
-                                         train_fraction)
+                    aucs = repeated_aucs(ds, [make_scorer(name, sigma=sigma)],
+                                         repeats, base_seed, train_fraction)[0]
                 cell.aucs = [float(a) for a in aucs]
-                cell.mean = float(np.mean(aucs))
-                cell.std = float(np.std(aucs, ddof=1)) if len(aucs) > 1 else 0.0
+                cell.mean, cell.std = _mean_std(aucs)
             except Exception as exc:
                 cell.error = str(exc)
                 warnings.warn(

@@ -54,15 +54,6 @@ def kernel_eval(x, y, spec: KernelSpec) -> float:
     return float(np.exp(-r2 / (2.0 * spec.sigma**2)))
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # ||a||^2 + ||b||^2 - 2 a.b, clamped: rounding can push tiny values below 0
-    sa = np.einsum("ij,ij->i", A, A)
-    sb = np.einsum("ij,ij->i", B, B)
-    d2 = sa[:, None] + sb[None, :] - 2.0 * (A @ B.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def _two_products(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """2 A B^T from scipy's BLAS; 2 A A^T in its lower triangle without B.
 
@@ -85,21 +76,31 @@ def _two_products(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     return dgemm(2.0, B.T, A.T, trans_a=1).T
 
 
-def _rbf(sa: np.ndarray, sb: np.ndarray, products: np.ndarray,
-         sigma: float) -> np.ndarray:
-    """Gaussian kernel from squared row norms and ``_two_products``."""
+def _sq_dists(A: np.ndarray, B: np.ndarray | None = None,
+              sa: np.ndarray | None = None,
+              sb: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances ||a||^2 + ||b||^2 - 2 a.b between rows of A and B.
+
+    Without B, between the rows of A, valid in the lower triangle only.
+    sa and sb are the squared row norms, computed here when not given.
+    """
+    if sa is None:
+        sa = np.einsum("ij,ij->i", A, A)
+    if B is None:
+        sb = sa
+    elif sb is None:
+        sb = np.einsum("ij,ij->i", B, B)
     d2 = sa[:, None] + sb[None, :]
-    d2 -= products
+    d2 -= _two_products(A, B)
     # rounding can push tiny squared distances below 0
     np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def _rbf(d2: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian kernel of squared distances d2, overwriting d2."""
     d2 /= -2.0 * sigma**2
     return np.exp(d2, out=d2)
-
-
-def _kernel_rows(Z: np.ndarray, sz: np.ndarray, X: np.ndarray, sx: np.ndarray,
-                 spec: KernelSpec) -> np.ndarray:
-    """``kernel_cross`` given the squared row norms sz of Z and sx of X."""
-    return _rbf(sz, sx, _two_products(Z, X), spec.sigma)
 
 
 def gram(X, spec: KernelSpec) -> GramMatrix:
@@ -109,8 +110,7 @@ def gram(X, spec: KernelSpec) -> GramMatrix:
     its diagonal is exactly 1 + delta.
     """
     X = _as_matrix(X)
-    sq = np.einsum("ij,ij->i", X, X)
-    K = _rbf(sq, sq, _two_products(X), spec.sigma)
+    K = _rbf(_sq_dists(X), spec.sigma)
     lower = np.tril(K, -1)
     K = lower + lower.T
     np.fill_diagonal(K, 1.0 + spec.delta)
@@ -126,8 +126,7 @@ def kernel_cross(X, Z, spec: KernelSpec) -> np.ndarray:
     Z = _as_matrix(Z)
     if Z.shape[1] != X.shape[1]:
         raise ValueError(f"dimension mismatch: {Z.shape[1]} vs {X.shape[1]}")
-    return _kernel_rows(Z, np.einsum("ij,ij->i", Z, Z),
-                        X, np.einsum("ij,ij->i", X, X), spec)
+    return _rbf(_sq_dists(Z, X), spec.sigma)
 
 
 def median_pairwise_distance(X) -> float:

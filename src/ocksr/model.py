@@ -27,7 +27,7 @@ from .cholesky import (
     solve_lower_transposed,
     solve_upper,
 )
-from .kernel import KernelSpec, _kernel_rows, gram, kernel_cross
+from .kernel import KernelSpec, _rbf, _sq_dists, gram, kernel_cross
 
 logger = logging.getLogger(__name__)
 
@@ -56,6 +56,11 @@ class Model:
     1 for positive rows and 0 for negative rows, in the order the rows
     are retained.  ``n_neg`` counts the negative rows.
 
+    A ``Model`` built directly shares memory with the arrays it is
+    given: its fields are read-only views, the caller's arrays stay
+    writable, and writing to them changes the model.  ``fit`` and
+    ``load_model`` copy the rows they are given or read.
+
     ``factor`` (the Cholesky factor R of the regularized Gram matrix)
     and ``tails`` are in-memory caches that make an append cost one
     kernel row and one bordered factor column.  ``tails`` holds three
@@ -77,9 +82,10 @@ class Model:
         default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        X = np.ascontiguousarray(np.asarray(self.X_train, dtype=np.float64))
-        alpha = np.asarray(self.alpha, dtype=np.float64).ravel()
-        nu = np.asarray(self.nu, dtype=np.float64).ravel()
+        # views, so that freezing them leaves the caller's arrays writable
+        X = np.ascontiguousarray(np.asarray(self.X_train, dtype=np.float64)).view()
+        alpha = np.asarray(self.alpha, dtype=np.float64).ravel().view()
+        nu = np.asarray(self.nu, dtype=np.float64).ravel().view()
         if X.ndim != 2 or X.shape[0] < 1:
             raise ValueError("X_train must be a nonempty 2-d array")
         if alpha.shape[0] != X.shape[0] or nu.shape[0] != X.shape[0]:
@@ -231,8 +237,8 @@ def fit_incremental(model: Model, X_new) -> Model:
     factor = cached.factor
     spec = model.spec
     for m in range(n, n_all):
-        k_new = _kernel_rows(X[m: m + 1], sq_all[m: m + 1], X[:m], sq_all[:m],
-                             spec)[0]
+        k_new = _rbf(_sq_dists(X[m: m + 1], X[:m], sq_all[m: m + 1], sq_all[:m]),
+                     spec.sigma)[0]
         # self-kernel of the rbf family is exactly 1
         factor = factor_extend(factor, k_new, 1.0 + spec.delta)
         col = factor.column(m)

@@ -187,11 +187,11 @@ def test_auc_agrees_with_pair_oracle():
 def test_detection_quality_on_synthetic():
     t0 = time.perf_counter()
     sep6 = make_synthetic(100, 100, 10, 6.0, seed=42)
-    aucs6 = repeated_aucs(sep6, OcksrScorer(sigma="median"), repeats=100,
-                          base_seed=500)
+    aucs6 = repeated_aucs(sep6, [OcksrScorer(sigma="median")], repeats=100,
+                          base_seed=500)[0]
     sep0 = make_synthetic(100, 100, 10, 0.0, seed=42)
-    aucs0 = repeated_aucs(sep0, OcksrScorer(sigma="median"), repeats=100,
-                          base_seed=500)
+    aucs0 = repeated_aucs(sep0, [OcksrScorer(sigma="median")], repeats=100,
+                          base_seed=500)[0]
     elapsed = time.perf_counter() - t0
     mean6, mean0 = float(aucs6.mean()), float(aucs0.mean())
     ok = mean6 >= 0.99 and 0.45 <= mean0 <= 0.55 and elapsed < 120.0
@@ -255,8 +255,8 @@ SONAR_ENV = "OCKSR_SONAR_CSV"
                            f"(1 = target class) to run this check")
 def test_sonar_outranks_kmeans():
     ds = l2_normalize(load_csv(os.environ[SONAR_ENV], label_column=0))
-    ours = repeated_aucs(ds, OcksrScorer(sigma="median"), repeats=100,
-                         base_seed=0)
+    ours = repeated_aucs(ds, [OcksrScorer(sigma="median")], repeats=100,
+                         base_seed=0)[0]
     k, theirs = best_neighborhood(ds, "kmeans", repeats=100, base_seed=0)
     ok = float(ours.mean()) > float(theirs.mean())
     _report("sonar vs k-means", ok,

@@ -183,21 +183,12 @@ def test_split_seed_changes_partition():
     assert not np.array_equal(a.X, b.X)
 
 
-def test_split_outlier_train_fraction():
-    ds = make_synthetic(40, 20, 5, 3.0, seed=1)
-    train, test = random_split(ds, 0.5, seed=7, outlier_train_fraction=0.5)
-    assert int((train.labels == 0).sum()) == 10
-    assert int((test.labels == 0).sum()) == 10
-
-
 def test_split_fraction_bounds():
     ds = make_synthetic(10, 0, 3, 0.0, seed=0)
     with pytest.raises(ValueError):
         random_split(ds, 0.0, seed=1)
     with pytest.raises(ValueError):
         random_split(ds, 1.5, seed=1)
-    with pytest.raises(ValueError):
-        random_split(ds, 0.5, seed=1, outlier_train_fraction=1.0)
 
 
 @given(st.integers(0, 10_000), st.floats(0.2, 0.8), st.integers(5, 60),

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
 import ocksr.evaluation as ev
-from ocksr.dataset import make_synthetic
+from ocksr.dataset import make_synthetic, random_split
 from ocksr.evaluation import (
     NEIGHBORHOOD_RANGE,
     SCORER_NAMES,
@@ -146,7 +146,7 @@ def test_kpca_scorer_default_components():
 
 def test_scorers_separate_synthetic_clouds():
     ds = make_synthetic(60, 60, 6, 6.0, seed=10)
-    aucs = repeated_aucs(ds, OcksrScorer(), repeats=3, base_seed=100)
+    aucs = repeated_aucs(ds, [OcksrScorer()], repeats=3, base_seed=100)[0]
     assert aucs.shape == (3,)
     assert aucs.mean() > 0.9
 
@@ -172,22 +172,22 @@ def test_repeated_aucs_error_carries_repeat_index():
             raise ValueError("kaput")
 
     with pytest.raises(RuntimeError, match=r"repeat 0 \(seed 11\) failed"):
-        repeated_aucs(ds, Boom(), repeats=2, base_seed=11)
+        repeated_aucs(ds, [Boom()], repeats=2, base_seed=11)
 
 
 def test_repeats_must_be_positive():
     ds = make_synthetic(10, 10, 3, 2.0, seed=3)
     with pytest.raises(ValueError):
-        repeated_aucs(ds, OcksrScorer(), repeats=0, base_seed=0)
+        repeated_aucs(ds, [OcksrScorer()], repeats=0, base_seed=0)
 
 
 def test_best_neighborhood_tie_breaks_to_smallest_k(monkeypatch):
     ds = make_synthetic(20, 20, 3, 5.0, seed=4)
     recorded = []
 
-    def flat(dataset, scorer, repeats, base_seed, train_fraction=0.5):
-        recorded.append(scorer.k)
-        return np.array([0.75])
+    def flat(dataset, scorers, repeats, base_seed, train_fraction=0.5):
+        recorded.extend(scorer.k for scorer in scorers)
+        return np.full((len(scorers), repeats), 0.75)
 
     monkeypatch.setattr(ev, "repeated_aucs", flat)
     k, aucs = ev.best_neighborhood(ds, "knndd", repeats=1, base_seed=0)
@@ -200,6 +200,73 @@ def test_best_neighborhood_real_sweep():
     ds = make_synthetic(40, 40, 4, 5.0, seed=5)
     k, aucs = best_neighborhood(ds, "kmeans", repeats=2, base_seed=7)
     assert k in NEIGHBORHOOD_RANGE and aucs.shape == (2,)
+
+
+def _per_k_sweep(dataset, name, repeats, base_seed, ks, train_fraction=0.5):
+    # reference: a fresh split, fit and AUC for every k and every repeat,
+    # keeping the first k whose mean beats every earlier one
+    best_k, best_aucs, best_mean = None, None, -np.inf
+    for k in ks:
+        scorer = make_scorer(name, k=k)
+        aucs = np.empty(repeats)
+        for r in range(repeats):
+            train, test = random_split(dataset, train_fraction, base_seed + r)
+            scored = ScoredSet(scorer.fit(train.targets()).novelty(test.X),
+                               test.labels)
+            aucs[r] = roc_auc(scored)
+        if aucs.mean() > best_mean:
+            best_k, best_aucs, best_mean = k, aucs, float(aucs.mean())
+    return best_k, best_aucs
+
+
+@pytest.mark.parametrize("name", ["kmeans", "knndd"])
+@pytest.mark.parametrize("ks", [NEIGHBORHOOD_RANGE, (4,)])
+def test_best_neighborhood_matches_per_k_sweep(name, ks):
+    ds = make_synthetic(30, 30, 4, 2.0, seed=22)
+    k, aucs = best_neighborhood(ds, name, repeats=4, base_seed=3, ks=ks,
+                                train_fraction=0.6)
+    ref_k, ref_aucs = _per_k_sweep(ds, name, 4, 3, ks, train_fraction=0.6)
+    assert k == ref_k
+    np.testing.assert_array_equal(aucs, ref_aucs)
+
+
+def test_best_neighborhood_first_maximal_mean_wins(monkeypatch):
+    ds = make_synthetic(20, 20, 3, 5.0, seed=4)
+    means = [np.nan, 0.6, 0.8, 0.7, 0.8, np.nan, 0.5, 0.8]
+
+    def table(dataset, scorers, repeats, base_seed, train_fraction=0.5):
+        return np.array(means)[:, None] * np.ones((len(scorers), repeats))
+
+    monkeypatch.setattr(ev, "repeated_aucs", table)
+    k, aucs = ev.best_neighborhood(ds, "kmeans", repeats=2, base_seed=0)
+    assert k == NEIGHBORHOOD_RANGE[2] == 5
+    np.testing.assert_array_equal(aucs, [0.8, 0.8])
+
+
+def test_repeated_aucs_table_rows_follow_scorers():
+    ds = make_synthetic(25, 25, 4, 3.0, seed=23)
+    scorers = [OcksrScorer(), make_scorer("kmeans", k=3), make_scorer("knndd", k=3)]
+    table = repeated_aucs(ds, scorers, repeats=3, base_seed=5)
+    assert table.shape == (3, 3)
+    for scorer, row in zip(scorers, table):
+        np.testing.assert_array_equal(
+            row, repeated_aucs(ds, [scorer], repeats=3, base_seed=5)[0])
+
+
+def test_one_split_per_repeat(monkeypatch):
+    ds = make_synthetic(24, 24, 3, 3.0, seed=24)
+    seeds = []
+
+    def counting(dataset, fraction, seed):
+        seeds.append(seed)
+        return random_split(dataset, fraction, seed)
+
+    monkeypatch.setattr(ev, "random_split", counting)
+    best_neighborhood(ds, "knndd", repeats=3, base_seed=0)
+    assert seeds == [0, 1, 2]
+    seeds.clear()
+    bench_run([ds], ["ocksr", "kmeans", "knndd"], 3, 0)
+    assert seeds == [0, 1, 2] * 3
 
 
 def test_friedman_ranks_dominant_method():
@@ -277,10 +344,10 @@ def test_bench_run_failed_cell_recorded(monkeypatch):
     ds = make_synthetic(16, 16, 3, 4.0, seed=12)
     real = ev.repeated_aucs
 
-    def flaky(dataset, scorer, repeats, base_seed, train_fraction=0.5):
-        if getattr(scorer, "name", "") == "knndd":
+    def flaky(dataset, scorers, repeats, base_seed, train_fraction=0.5):
+        if any(getattr(scorer, "name", "") == "knndd" for scorer in scorers):
             raise RuntimeError("synthetic failure")
-        return real(dataset, scorer, repeats, base_seed, train_fraction)
+        return real(dataset, scorers, repeats, base_seed, train_fraction)
 
     monkeypatch.setattr(ev, "repeated_aucs", flaky)
     with pytest.warns(UserWarning) as record:

@@ -12,6 +12,7 @@ from ocksr.cholesky import (
     factor_batch,
     factor_extend,
 )
+from ocksr.dataset import Dataset
 from ocksr.kernel import KernelSpec, gram
 from ocksr.model import (
     DELTA_LADDER,
@@ -465,3 +466,20 @@ def test_model_validation():
         Model(np.zeros((2, 2)), np.zeros(3), np.ones(2), KernelSpec())
     with pytest.raises(ValueError):
         Model(np.zeros((2, 2)), np.zeros(2), np.ones(2), KernelSpec(), n_neg=5)
+
+
+def test_model_and_dataset_leave_caller_arrays_writable():
+    X = np.random.default_rng(20).standard_normal((4, 3))
+    alpha, nu, labels = np.zeros(4), np.ones(4), np.array([1, 1, 0, 0])
+    model = Model(X, alpha, nu, KernelSpec())
+    ds = Dataset(X, labels)
+    for caller in (X, alpha, nu, labels):
+        assert caller.flags.writeable
+    for frozen in (model.X_train, model.alpha, model.nu, ds.X, ds.labels):
+        assert not frozen.flags.writeable
+    with pytest.raises(ValueError):
+        model.X_train[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        ds.X[0, 0] = 1.0
+    # no copy: a direct Model and Dataset share the caller's memory
+    assert np.shares_memory(model.X_train, X) and np.shares_memory(ds.X, X)
