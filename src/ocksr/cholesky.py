@@ -22,7 +22,7 @@ import threading
 
 import numpy as np
 from scipy.linalg.blas import dtpsv
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dtpttr, dtrtri
 
 # A pivot at or below PIVOT_EPS times the max diagonal of the factored
 # matrix is treated as numerically zero.
@@ -226,3 +226,20 @@ def solve_upper(factor: CholeskyFactor, theta) -> np.ndarray:
 def solve_spd(factor: CholeskyFactor, b) -> np.ndarray:
     """Solve K x = b given K = R^T R: forward then back substitution."""
     return solve_upper(factor, solve_lower_transposed(factor, b))
+
+
+def _inverse_diag(factor: CholeskyFactor) -> np.ndarray:
+    """Diagonal of K^-1 for K = R^T R: the row sums of squares of R^-1.
+
+    R is unpacked once into a dense matrix and inverted in place by
+    LAPACK's blocked triangular inverse; the packed inverse (dpptri) is
+    unblocked and several times slower.  dtpttr returns a zero-filled
+    array, so the strict lower triangle stays zero throughout.
+    """
+    m = factor._m
+    R, info = dtpttr(m, factor._tail.buf[: m * (m + 1) // 2])
+    if info == 0:
+        R, info = dtrtri(R, lower=0, overwrite_c=1)
+    if info != 0:
+        raise ValueError(f"triangular inverse failed with info={info}")
+    return np.einsum("ij,ij->i", R, R)

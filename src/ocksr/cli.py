@@ -32,7 +32,6 @@ from .model import (
     fit_incremental,
     fit_supervised,
     load_model,
-    project_train,
     save_model,
     score_batch,
 )
@@ -189,10 +188,12 @@ def _cmd_train(args) -> int:
         model = fit(pos, spec)
 
     save_model(model, args.out)
-    variance = float(np.var(project_train(model)))
+    # (K + delta I) alpha = nu, so the training projections K alpha are
+    # nu - delta alpha: no second kernel matrix is needed
+    variance = float(np.var(model.nu - model.spec.delta * model.alpha))
     print(f"trained on n={model.n} rows (n_neg={model.n_neg}), d={model.d}")
     print(f"sigma={model.spec.sigma:.12g} delta={model.spec.delta:.12g}")
-    print(f"training projection variance={variance:.6g}")
+    print(f"training projection variance={variance:.12g}")
     print(f"model written to {args.out}")
     return EXIT_OK
 
@@ -233,6 +234,10 @@ def _cmd_calibrate(args) -> int:
     pos = ds.targets()
     if args.model:
         model = load_model(args.model)
+        if pos.shape[1] != model.d:
+            raise DataFormatError(
+                f"{args.data}: data dimension {pos.shape[1]} does not match model "
+                f"dimension {model.d}")
         spec = model.spec
     else:
         model = None

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ocksr.cli as cli
+import ocksr.model as model_module
 from ocksr.baselines import EigenSolverDidNotConverge
 from ocksr.cholesky import NotPositiveDefinite
 from ocksr.cli import main
@@ -17,7 +18,7 @@ from ocksr.dataset import (
     write_csv,
 )
 from ocksr.kernel import KernelSpec, median_pairwise_distance
-from ocksr.model import fit, load_model, score_batch
+from ocksr.model import fit, load_model, project_train, score_batch
 
 
 def _synth_csv(tmp_path, name="data.csv", n_pos=30, n_neg=20, d=5, sep=4.0, seed=0):
@@ -150,6 +151,20 @@ def test_score_dimension_mismatch_exit_2(tmp_path, capsys):
                  "--label-col", "0"]) == 2
 
 
+def test_calibrate_dimension_mismatch_exit_2(tmp_path, capsys):
+    data, _ = _synth_csv(tmp_path, d=5)
+    other, _ = _synth_csv(tmp_path, name="other.csv", n_neg=0, d=3)
+    model_path = str(tmp_path / "m.bin")
+    main(["train", "--data", data, "--label-col", "0", "--out", model_path])
+    before = open(model_path, "rb").read()
+    capsys.readouterr()
+    assert main(["calibrate", "--data", other, "--label-col", "0",
+                 "--rejection", "0.1", "--model", model_path]) == 2
+    err = capsys.readouterr().err
+    assert "dimension 3" in err and "dimension 5" in err
+    assert open(model_path, "rb").read() == before
+
+
 def test_calibrate_prints_tau_and_updates_model(tmp_path, capsys):
     data, _ = _synth_csv(tmp_path, n_pos=25, n_neg=0, seed=5)
     model_path = str(tmp_path / "m.bin")
@@ -192,6 +207,30 @@ def test_append_matches_batch_retrain(tmp_path, capsys):
     appended = load_model(m2)
     assert appended.n == 40
     np.testing.assert_allclose(appended.alpha, ref.alpha, atol=1e-9)
+
+
+def _printed_variance(capsys):
+    out = capsys.readouterr().out
+    return float(out.split("training projection variance=")[1].split()[0])
+
+
+def test_train_variance_matches_projections(tmp_path, capsys):
+    plain, _ = _synth_csv(tmp_path, name="plain.csv", n_neg=0, seed=11)
+    labeled, _ = _synth_csv(tmp_path, name="labeled.csv", n_pos=20, n_neg=8, seed=12)
+    extra, _ = _synth_csv(tmp_path, name="extra.csv", n_pos=10, n_neg=0, seed=13)
+    paths = [str(tmp_path / f"{name}.bin") for name in ("plain", "sup", "app")]
+    runs = [
+        ["train", "--data", plain, "--label-col", "0", "--out", paths[0],
+         "--delta", "1e-3"],
+        ["train", "--data", labeled, "--label-col", "0", "--negatives",
+         "--out", paths[1], "--delta", "1e-8"],
+        ["train", "--data", extra, "--label-col", "0", "--append", paths[0],
+         "--out", paths[2]],
+    ]
+    for argv, path in zip(runs, paths):
+        assert main(argv) == 0
+        oracle = float(np.var(project_train(load_model(path))))
+        assert _printed_variance(capsys) == pytest.approx(oracle, rel=0, abs=1e-12)
 
 
 def test_append_rejects_negatives(tmp_path):
@@ -298,6 +337,19 @@ def test_numerical_failure_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "fit", boom)
     rc = main(["train", "--data", data, "--label-col", "0",
                "--out", str(tmp_path / "m.bin")])
+    assert rc == 3
+
+
+def test_calibrate_numerical_failure_exit_3(tmp_path, monkeypatch, capsys):
+    data, _ = _synth_csv(tmp_path, n_neg=0)
+
+    def singular(*args, **kwargs):
+        raise NotPositiveDefinite(3)
+
+    # every rung of the delta ladder fails
+    monkeypatch.setattr(model_module, "factor_batch", singular)
+    rc = main(["calibrate", "--data", data, "--label-col", "0",
+               "--rejection", "0.1"])
     assert rc == 3
 
 

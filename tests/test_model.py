@@ -1,11 +1,13 @@
 import logging
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import ocksr.model as model_module
 from ocksr.cholesky import (
     CholeskyFactor,
     NotPositiveDefinite,
@@ -13,7 +15,7 @@ from ocksr.cholesky import (
     factor_extend,
 )
 from ocksr.dataset import Dataset
-from ocksr.kernel import KernelSpec, gram
+from ocksr.kernel import KernelSpec, gram, median_pairwise_distance
 from ocksr.model import (
     DELTA_LADDER,
     Decision,
@@ -328,6 +330,75 @@ def test_calibrate_validation():
         calibrate_threshold(X, KernelSpec(), 1.0)
     with pytest.raises(ValueError):
         calibrate_threshold(X, KernelSpec(), -0.1)
+
+
+def _pinned_refit_tau(X, spec, target_rejection):
+    """Leave-one-out tau by brute force: one refit per held-out row.
+
+    Every held-out fit is pinned at the effective delta of the fit on
+    all rows, the rule the closed form follows.
+    """
+    pinned = replace(spec, delta=fit(X, spec).spec.delta)
+    novelties = []
+    for i in range(X.shape[0]):
+        held_out = fit(np.delete(X, i, axis=0), pinned)
+        assert held_out.spec.delta == pinned.delta
+        novelties.append(score(held_out, X[i])[1])
+    return float(np.quantile(novelties, 1.0 - target_rejection))
+
+
+@given(st.integers(0, 10**6), st.integers(3, 40), st.integers(1, 6),
+       st.floats(0.5, 2.0), st.sampled_from([1e-6, 1e-4]), st.floats(0.0, 0.5))
+@settings(max_examples=100, deadline=None)
+def test_calibrate_matches_pinned_refit_oracle(seed, n, d, sigma_scale, delta,
+                                               rejection):
+    X = np.random.default_rng(seed).standard_normal((n, d))
+    spec = KernelSpec(sigma=sigma_scale * median_pairwise_distance(X), delta=delta)
+    # both paths lose about eps * cond digits; keep to well-conditioned sets
+    K = gram(X, spec).K + delta * np.eye(n)
+    assume(np.linalg.cond(K) <= 1e6)
+    tau = calibrate_threshold(X, spec, rejection)
+    assert tau == pytest.approx(_pinned_refit_tau(X, spec, rejection), rel=1e-9)
+
+
+@pytest.mark.parametrize("rejection", [0.0, 0.25])
+def test_calibrate_duplicate_rows_use_escalated_delta(rejection):
+    X = np.random.default_rng(14).standard_normal((12, 3))
+    X[7] = X[2]
+    spec = KernelSpec(sigma=median_pairwise_distance(X), delta=0.0)
+    assert fit(X, spec).spec.delta == DELTA_LADDER[0]
+    tau = calibrate_threshold(X, spec, rejection)
+    # cond(K + 1e-8 I) is 7.8e8, but the ill-conditioned direction only
+    # touches the duplicate pair, whose held-out novelties are tiny and
+    # sit below both quantiles; the paths agreed to 7e-14 on 12 seeds
+    assert tau == pytest.approx(_pinned_refit_tau(X, spec, rejection), rel=1e-9)
+
+
+def test_calibrate_factors_once(monkeypatch):
+    calls = []
+
+    def counting(K):
+        calls.append(K.shape)
+        return factor_batch(K)
+
+    monkeypatch.setattr(model_module, "factor_batch", counting)
+    X = np.random.default_rng(15).standard_normal((30, 3))
+    calibrate_threshold(X, KernelSpec(sigma=1.0, delta=1e-6), 0.1)
+    assert calls == [(30, 30)]
+
+
+def test_calibrate_raises_when_every_rung_fails(monkeypatch):
+    calls = []
+
+    def singular(K):
+        calls.append(K.shape)
+        raise NotPositiveDefinite(1)
+
+    monkeypatch.setattr(model_module, "factor_batch", singular)
+    X = np.random.default_rng(16).standard_normal((10, 2))
+    with pytest.raises(NotPositiveDefinite):
+        calibrate_threshold(X, KernelSpec(sigma=1.0), 0.1)
+    assert len(calls) == 1 + len(DELTA_LADDER)
 
 
 def test_delta_ladder_escalates_on_duplicates(caplog):
