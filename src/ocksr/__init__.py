@@ -37,24 +37,19 @@ from .evaluation import (
     ScoredSet,
     bench_run,
     best_neighborhood,
-    chi_square_from_ranks,
-    chi_square_p_value,
     friedman_ranks,
     friedman_test,
     make_scorer,
     repeated_aucs,
-    repeated_eval,
     roc_auc,
     write_bench_csv,
     write_bench_json,
     write_ranks_csv,
 )
 from .kernel import (
-    GramMatrix,
     KernelSpec,
     gram,
     kernel_cross,
-    kernel_eval,
     median_pairwise_distance,
 )
 from .model import (
@@ -82,7 +77,6 @@ __all__ = [
     "Decision",
     "EigenSolverDidNotConverge",
     "FriedmanResult",
-    "GramMatrix",
     "KMeansModel",
     "KernelSpec",
     "KnnddModel",
@@ -94,8 +88,6 @@ __all__ = [
     "bench_run",
     "best_neighborhood",
     "calibrate_threshold",
-    "chi_square_from_ranks",
-    "chi_square_p_value",
     "classify",
     "fit",
     "fit_incremental",
@@ -104,7 +96,6 @@ __all__ = [
     "friedman_test",
     "gram",
     "kernel_cross",
-    "kernel_eval",
     "kmeans_fit",
     "kmeans_score",
     "knndd_fit",
@@ -122,7 +113,6 @@ __all__ = [
     "project_train",
     "random_split",
     "repeated_aucs",
-    "repeated_eval",
     "roc_auc",
     "save_model",
     "score",

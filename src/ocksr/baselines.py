@@ -139,7 +139,7 @@ class KpcaModel:
 
 
 def _centered_gram(X: np.ndarray, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray, float]:
-    K = gram(X, replace(spec, delta=0.0)).K
+    K = gram(X, replace(spec, delta=0.0))
     row_mean = K.mean(axis=1)
     total_mean = float(K.mean())
     Kc = K - row_mean[:, None] - row_mean[None, :] + total_mean

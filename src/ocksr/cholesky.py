@@ -14,6 +14,12 @@ its extensions: extending the newest factor appends in place, extending
 an older one copies first.  Factors are immutable values, and extending
 one factor from several threads at once is safe: one extension claims
 the buffer's tip, the others copy.
+
+Matrices reach ``factor_batch`` from ``kernel.gram``, which only builds
+them from rows checked where they entered the library, so it follows
+LAPACK's contract: it reads one triangle and makes no checking pass over
+K.  Its pivot test rejects NaN pivots, so a non-finite entry in the
+triangle it reads still raises ``NotPositiveDefinite``.
 """
 
 from __future__ import annotations
@@ -22,10 +28,10 @@ import threading
 
 import numpy as np
 from scipy.linalg.blas import dtpsv
-from scipy.linalg.lapack import dpotrf, dtpttr, dtrtri
+from scipy.linalg.lapack import dpotrf, dtpttr, dtrtri, dtrttp
 
 # A pivot at or below PIVOT_EPS times the max diagonal of the factored
-# matrix is treated as numerically zero.
+# matrix is treated as numerically zero, in batch and extension alike.
 PIVOT_EPS = 1e-12
 
 
@@ -70,11 +76,6 @@ class _Tail:
         return tail
 
 
-def _pack(R: np.ndarray) -> np.ndarray:
-    """Columns of an upper-triangular matrix, concatenated."""
-    return R.T[np.tri(R.shape[0], dtype=bool)]
-
-
 class CholeskyFactor:
     """Upper-triangular factor R of a symmetric positive definite matrix.
 
@@ -90,7 +91,7 @@ class CholeskyFactor:
         R = np.asarray(R, dtype=np.float64)
         if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] < 1:
             raise ValueError("R must be a square matrix of order >= 1")
-        self._tail = _Tail().extend(0, _pack(R))
+        self._tail = _Tail().extend(0, dtrttp(R)[0])
         self._m = R.shape[0]
         diag = np.diag(R) ** 2
         self._max_diag = float(diag.max()) if max_diag is None else float(max_diag)
@@ -118,9 +119,7 @@ class CholeskyFactor:
     @property
     def R(self) -> np.ndarray:
         """The factor as a dense upper-triangular matrix (built on demand)."""
-        m = self._m
-        out = np.zeros((m, m))
-        out.T[np.tril_indices(m)] = self._tail.buf[: m * (m + 1) // 2]
+        out = _unpack(self)
         out.setflags(write=False)
         return out
 
@@ -140,35 +139,34 @@ class CholeskyFactor:
 def factor_batch(K) -> CholeskyFactor:
     """Factor a symmetric positive definite matrix as K = R^T R.
 
+    Only the lower triangle of K (i >= j) is read; the strict upper
+    triangle may hold anything.  K is not checked for symmetry or
+    finiteness: a NaN or infinity in the lower triangle yields a NaN or
+    nonpositive pivot, which is rejected like any other.
+
     Raises:
         NotPositiveDefinite: with the 0-based index of the first pivot
-            at or below PIVOT_EPS times the max-norm of K.
-        ValueError: non-square, non-symmetric, or non-finite input.
+            not above PIVOT_EPS times the max diagonal of K.
+        ValueError: K is not square of order >= 1.
     """
-    K = np.ascontiguousarray(np.asarray(K, dtype=np.float64))
+    K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] < 1:
         raise ValueError("K must be a square matrix of order >= 1")
-    if not np.isfinite(K).all():
-        raise ValueError("K contains non-finite entries")
-    scale = float(np.abs(K).max())
-    if np.abs(K - K.T).max() > 1e-8 * max(scale, 1.0):
-        raise ValueError("K is not symmetric")
 
-    tol = PIVOT_EPS * float(np.linalg.norm(K, np.inf))
-    # K is symmetric to the tolerance above, so LAPACK may read the upper
-    # triangle of K^T, which is Fortran-ordered: no transposing copy
+    max_diag = float(np.diag(K).max())
+    # the upper triangle of K^T is the lower triangle of K, and K^T of a
+    # C-ordered K is Fortran-ordered: LAPACK copies it once, no transpose
     R, info = dpotrf(K.T, lower=0, clean=1, overwrite_a=0)
     if info > 0:
         raise NotPositiveDefinite(info - 1)
     if info < 0:
         raise ValueError(f"illegal argument {-info} in dpotrf")
-    pivots = np.diag(R) ** 2
-    small = np.flatnonzero(pivots <= tol)
+    # negated so that a NaN pivot, or a NaN max diagonal, fails the test
+    small = np.flatnonzero(~(np.diag(R) ** 2 > PIVOT_EPS * max_diag))
     if small.size:
         raise NotPositiveDefinite(int(small[0]))
 
-    return CholeskyFactor._wrap(_Tail().extend(0, _pack(R)), K.shape[0],
-                                float(np.diag(K).max()))
+    return CholeskyFactor._wrap(_Tail().extend(0, dtrttp(R)[0]), K.shape[0], max_diag)
 
 
 def factor_extend(factor: CholeskyFactor, k_new, k_diag: float) -> CholeskyFactor:
@@ -223,9 +221,14 @@ def solve_upper(factor: CholeskyFactor, theta) -> np.ndarray:
     return dtpsv(m, factor._tail.buf[: m * (m + 1) // 2], theta, lower=0, trans=0)
 
 
-def solve_spd(factor: CholeskyFactor, b) -> np.ndarray:
-    """Solve K x = b given K = R^T R: forward then back substitution."""
-    return solve_upper(factor, solve_lower_transposed(factor, b))
+def _unpack(factor: CholeskyFactor) -> np.ndarray:
+    """R as a new Fortran-ordered dense array.
+
+    dtpttr returns a zero-filled array, so the strict lower triangle is
+    zero.
+    """
+    m = factor._m
+    return dtpttr(m, factor._tail.buf[: m * (m + 1) // 2])[0]
 
 
 def _inverse_diag(factor: CholeskyFactor) -> np.ndarray:
@@ -233,13 +236,10 @@ def _inverse_diag(factor: CholeskyFactor) -> np.ndarray:
 
     R is unpacked once into a dense matrix and inverted in place by
     LAPACK's blocked triangular inverse; the packed inverse (dpptri) is
-    unblocked and several times slower.  dtpttr returns a zero-filled
-    array, so the strict lower triangle stays zero throughout.
+    unblocked and several times slower.  The strict lower triangle stays
+    zero throughout.
     """
-    m = factor._m
-    R, info = dtpttr(m, factor._tail.buf[: m * (m + 1) // 2])
-    if info == 0:
-        R, info = dtrtri(R, lower=0, overwrite_c=1)
+    R, info = dtrtri(_unpack(factor), lower=0, overwrite_c=1)
     if info != 0:
         raise ValueError(f"triangular inverse failed with info={info}")
     return np.einsum("ij,ij->i", R, R)

@@ -234,6 +234,13 @@ def _cmd_calibrate(args) -> int:
     pos = ds.targets()
     if args.model:
         model = load_model(args.model)
+        if model.n_neg > 0:
+            # the threshold comes from target-only fits, which would not
+            # match the scores of a model trained against negatives
+            raise DataFormatError(
+                f"{args.model}: calibrate fits target rows only and cannot "
+                f"set a threshold for a model trained with {model.n_neg} "
+                f"negative rows")
         if pos.shape[1] != model.d:
             raise DataFormatError(
                 f"{args.data}: data dimension {pos.shape[1]} does not match model "

@@ -210,21 +210,6 @@ def _mean_std(aucs: np.ndarray) -> tuple[float, float]:
     return float(aucs.mean()), (float(aucs.std(ddof=1)) if aucs.size > 1 else 0.0)
 
 
-def repeated_eval(
-    dataset: Dataset,
-    scorer,
-    repeats: int,
-    base_seed: int,
-    train_fraction: float = 0.5,
-) -> tuple[float, float]:
-    """Mean and sample standard deviation of AUC over seeded repeats.
-
-    A single repeat has standard deviation 0 by definition.
-    """
-    return _mean_std(repeated_aucs(dataset, [scorer], repeats, base_seed,
-                                   train_fraction)[0])
-
-
 def best_neighborhood(
     dataset: Dataset,
     name: str,
@@ -281,11 +266,11 @@ def friedman_test(auc_table) -> FriedmanResult:
     table = np.atleast_2d(np.asarray(auc_table, dtype=np.float64))
     avg = friedman_ranks(table)
     n, m = table.shape
-    chi2 = chi_square_from_ranks(avg, n)
-    return FriedmanResult(avg, chi2, chi_square_p_value(chi2, m - 1), n, m)
+    chi2 = _chi_square_from_ranks(avg, n)
+    return FriedmanResult(avg, chi2, _chi_square_p_value(chi2, m - 1), n, m)
 
 
-def chi_square_from_ranks(average_ranks, n_datasets: int) -> float:
+def _chi_square_from_ranks(average_ranks, n_datasets: int) -> float:
     """Friedman statistic from per-method average ranks over n_datasets blocks."""
     avg = np.asarray(average_ranks, dtype=np.float64)
     m = avg.shape[0]
@@ -293,10 +278,8 @@ def chi_square_from_ranks(average_ranks, n_datasets: int) -> float:
                  * ((avg**2).sum() - m * (m + 1) ** 2 / 4.0))
 
 
-def chi_square_p_value(chi2: float, dof: int) -> float:
+def _chi_square_p_value(chi2: float, dof: int) -> float:
     """Upper-tail chi-square probability via the regularized incomplete gamma."""
-    if dof < 1:
-        raise ValueError("dof must be >= 1")
     return float(gammaincc(dof / 2.0, chi2 / 2.0))
 
 

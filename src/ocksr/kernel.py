@@ -28,30 +28,11 @@ class KernelSpec:
             raise ValueError("delta must be nonnegative")
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Regularized kernel matrix K with K[i, j] = k(x_i, x_j) + delta * [i == j]."""
-
-    K: np.ndarray
-    spec: KernelSpec
-
-
 def _as_matrix(X) -> np.ndarray:
     X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("expected a nonempty 2-d array of rows")
     return X
-
-
-def kernel_eval(x, y, spec: KernelSpec) -> float:
-    """Evaluate k(x, y) = exp(-||x - y||^2 / (2 sigma^2))."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
-    diff = x - y
-    r2 = float(diff @ diff)
-    return float(np.exp(-r2 / (2.0 * spec.sigma**2)))
 
 
 def _two_products(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -103,18 +84,19 @@ def _rbf(d2: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(d2, out=d2)
 
 
-def gram(X, spec: KernelSpec) -> GramMatrix:
-    """Build the regularized Gram matrix of the rows of X.
+def gram(X, spec: KernelSpec) -> np.ndarray:
+    """The regularized Gram matrix K[i, j] = k(x_i, x_j) + delta * [i == j].
 
     The result is exactly symmetric (the lower triangle is mirrored) and
-    its diagonal is exactly 1 + delta.
+    its diagonal is exactly 1 + delta.  X is not checked for finiteness:
+    callers pass rows already checked where they entered the library.
     """
     X = _as_matrix(X)
     K = _rbf(_sq_dists(X), spec.sigma)
     lower = np.tril(K, -1)
     K = lower + lower.T
     np.fill_diagonal(K, 1.0 + spec.delta)
-    return GramMatrix(K, spec)
+    return K
 
 
 def kernel_cross(X, Z, spec: KernelSpec) -> np.ndarray:

@@ -68,8 +68,8 @@ class Model:
     ``cholesky._Tail`` buffers: the rows, flattened, with ``X_train`` a
     view of their prefix; their squared norms; and theta = R^-T nu.
     Models appended from one another share these buffers.  Neither cache
-    is serialized, and both are rebuilt on the first append after
-    loading.
+    is serialized: the first append to a model without them (loaded, or
+    built directly) solves once over the stored and new rows.
     """
 
     X_train: np.ndarray
@@ -121,7 +121,8 @@ def _as_rows(X, d: int | None = None) -> np.ndarray:
 
 
 def _solve_with_ladder(
-    X: np.ndarray, nu: np.ndarray, spec: KernelSpec
+    X: np.ndarray, nu: np.ndarray, spec: KernelSpec,
+    ladder: tuple[float, ...] = DELTA_LADDER,
 ) -> tuple[np.ndarray, CholeskyFactor, KernelSpec, np.ndarray]:
     """Factor the Gram matrix and solve for alpha, escalating delta on failure.
 
@@ -131,8 +132,8 @@ def _solve_with_ladder(
     """
     # Only the diagonal changes along the ladder, so one Gram matrix
     # serves every rung; factor_batch copies it before factoring.
-    K = gram(X, spec).K
-    deltas = [spec.delta] + [d for d in DELTA_LADDER if d > spec.delta]
+    K = gram(X, spec)
+    deltas = [spec.delta] + [d for d in ladder if d > spec.delta]
     last: NotPositiveDefinite | None = None
     for delta in deltas:
         np.fill_diagonal(K, 1.0 + delta)
@@ -157,13 +158,13 @@ def _solve_with_ladder(
 
 def _with_caches(X: np.ndarray, alpha: np.ndarray, nu: np.ndarray,
                  spec: KernelSpec, n_neg: int, factor: CholeskyFactor,
-                 theta: np.ndarray) -> Model:
+                 theta: np.ndarray, tau: float | None = None) -> Model:
     """A model whose rows, row norms and theta live in fresh tails."""
     rows = _Tail().extend(0, X.ravel())
     tails = (rows, _Tail().extend(0, np.einsum("ij,ij->i", X, X)),
              _Tail().extend(0, theta))
     return Model(rows.buf[: X.size].reshape(X.shape), alpha, nu, spec,
-                 n_neg=n_neg, factor=factor, tails=tails)
+                 n_neg=n_neg, tau=tau, factor=factor, tails=tails)
 
 
 def fit(X_pos, spec: KernelSpec) -> Model:
@@ -196,19 +197,8 @@ def fit_supervised(X_pos, X_neg, spec: KernelSpec) -> Model:
     return _with_caches(X, alpha, nu, eff, X_neg.shape[0], factor, theta)
 
 
-def _rebuild_caches(model: Model) -> Model:
-    if model.factor is not None and model.tails is not None:
-        return model
-    factor = model.factor
-    if factor is None:
-        factor = factor_batch(gram(model.X_train, model.spec).K)
-    theta = solve_lower_transposed(factor, model.nu)
-    return _with_caches(model.X_train, model.alpha, model.nu, model.spec,
-                        model.n_neg, factor, theta)
-
-
 def fit_incremental(model: Model, X_new) -> Model:
-    """Append positive rows to a trained model without refactoring.
+    """Append positive rows to a trained model, extending its factor.
 
     Each new row contributes one bordered column to the retained
     Cholesky factor (one triangular solve) and one entry to the cached
@@ -216,6 +206,10 @@ def fit_incremental(model: Model, X_new) -> Model:
     yields the enlarged coefficient vector.  The result matches a batch
     fit on the concatenated rows.  Appended rows are always treated as
     positives; adding negatives requires a refit.
+
+    A model without caches (loaded, or built directly) has no factor to
+    extend: its stored and new rows are solved together once, in stored
+    order followed by the new rows, at the stored delta with no ladder.
 
     Raises:
         NotPositiveDefinite: a new row makes the system numerically
@@ -225,18 +219,23 @@ def fit_incremental(model: Model, X_new) -> Model:
     if X_new is None or X_new.shape[0] == 0:
         return model
 
-    cached = _rebuild_caches(model)
+    nu = np.concatenate([model.nu, np.ones(X_new.shape[0])])
+    if model.factor is None or model.tails is None:
+        X = np.vstack([model.X_train, X_new])
+        alpha, factor, spec, theta = _solve_with_ladder(X, nu, model.spec, ladder=())
+        return _with_caches(X, alpha, nu, spec, model.n_neg, factor, theta,
+                            tau=model.tau)
+
     n, d = model.n, model.d
     n_all = n + X_new.shape[0]
-    rows, sq, theta = cached.tails
+    rows, sq, theta = model.tails
     rows = rows.extend(n * d, X_new.ravel())
     sq = sq.extend(n, [row @ row for row in X_new])
     X, sq_all = rows.buf[: n_all * d].reshape(n_all, d), sq.buf[:n_all]
     # theta's entries arrive one per row, each a dot with all before it
     theta_all = np.empty(n_all)
     theta_all[:n] = theta.buf[:n]
-    factor = cached.factor
-    spec = model.spec
+    factor, spec = model.factor, model.spec
     for m in range(n, n_all):
         k_new = _rbf(_sq_dists(X[m: m + 1], X[:m], sq_all[m: m + 1], sq_all[:m]),
                      spec.sigma)[0]
@@ -245,7 +244,6 @@ def fit_incremental(model: Model, X_new) -> Model:
         col = factor.column(m)
         theta_all[m] = (1.0 - col[:m] @ theta_all[:m]) / col[m]
     theta = theta.extend(n, theta_all[n:])
-    nu = np.concatenate([model.nu, np.ones(X_new.shape[0])])
     alpha = solve_upper(factor, theta_all)
     return Model(X, alpha, nu, spec, n_neg=model.n_neg, tau=model.tau,
                  factor=factor, tails=(rows, sq, theta))
@@ -371,7 +369,8 @@ def load_model(path: str) -> Model:
     """Load a model saved by ``save_model``.
 
     Raises:
-        ModelFormatError: bad magic, unknown family, or truncated payload.
+        ModelFormatError: bad magic, unknown family, truncated payload, or
+            non-finite rows, coefficients or threshold.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -401,6 +400,11 @@ def load_model(path: str) -> Model:
     offset += 8 * n * d
     alpha = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).astype(
         np.float64)
+    # the file is outside input: nothing downstream checks these again
+    if not (np.isfinite(X).all() and np.isfinite(alpha).all()
+            and (tau is None or np.isfinite(tau))):
+        raise ModelFormatError(
+            f"{path}: non-finite training rows, coefficients or threshold")
     nu = np.concatenate([np.ones(n - n_neg), np.zeros(n_neg)])
     spec = KernelSpec(family=_FAMILY_NAMES[family_code], sigma=sigma, delta=delta)
     return Model(X, alpha, nu, spec, n_neg=n_neg, tau=tau)

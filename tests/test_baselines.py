@@ -12,7 +12,7 @@ from ocksr.baselines import (
     kpca_fit,
     kpca_score,
 )
-from ocksr.kernel import KernelSpec, kernel_cross, kernel_eval, median_pairwise_distance
+from ocksr.kernel import KernelSpec, kernel_cross, median_pairwise_distance
 
 
 # Per-probe reference scorers: the straightforward one-probe-at-a-time
@@ -36,7 +36,8 @@ def _kpca_score_ref(model, z):
     kz = kernel_cross(model.X, z[None, :], model.spec)[0]
     kz_mean = float(kz.mean())
     kz_centered = kz - kz_mean - model.row_mean + model.total_mean
-    self_centered = kernel_eval(z, z, model.spec) - 2.0 * kz_mean + model.total_mean
+    # the rbf self-kernel k(z, z) is exactly 1
+    self_centered = 1.0 - 2.0 * kz_mean + model.total_mean
     f = model.coeffs.T @ kz_centered
     return max(float(self_centered - f @ f), 0.0)
 

@@ -9,7 +9,6 @@ from ocksr.cholesky import (
     factor_batch,
     factor_extend,
     solve_lower_transposed,
-    solve_spd,
     solve_upper,
 )
 
@@ -17,6 +16,11 @@ from ocksr.cholesky import (
 def _random_spd(rng, n, ridge=0.5):
     A = rng.standard_normal((n, n + 2))
     return A @ A.T + ridge * np.eye(n)
+
+
+def solve_spd(factor, b):
+    """Solve K x = b given K = R^T R: forward then back substitution."""
+    return solve_upper(factor, solve_lower_transposed(factor, b))
 
 
 def test_identity_factors_to_itself():
@@ -37,14 +41,41 @@ def test_indefinite_matrix_rejected():
     assert exc.value.pivot_index == 1
 
 
-def test_non_symmetric_rejected():
-    with pytest.raises(ValueError, match="symmetric"):
-        factor_batch(np.array([[1.0, 0.2], [0.4, 1.0]]))
+def test_unread_triangle_is_ignored():
+    # only the lower triangle (i >= j) is read: whatever the strict upper
+    # triangle holds, asymmetric or non-finite, the factor is the same
+    rng = np.random.default_rng(2)
+    for n in (2, 9, 300):
+        K = _random_spd(rng, n)
+        ref = factor_batch(K)
+        upper = np.triu_indices(n, 1)
+        for junk in (np.nan, np.inf, -np.inf,
+                     1e6 * rng.standard_normal(upper[0].size)):
+            bad = K.copy()
+            bad[upper] = junk
+            np.testing.assert_array_equal(factor_batch(bad).packed, ref.packed)
 
 
 def test_non_finite_rejected():
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(NotPositiveDefinite):
         factor_batch(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+@given(st.integers(1, 400), st.integers(0, 10**6),
+       st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                          st.floats(0.0, 1.0),
+                          st.sampled_from([np.nan, np.inf, -np.inf])),
+                min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_non_finite_in_read_triangle_never_factors(n, seed, entries):
+    # LAPACK may finish with info = 0 and NaN pivots; the pivot test must
+    # reject those, whatever the size and so the blocking of dpotrf
+    K = _random_spd(np.random.default_rng(seed), n)
+    for u, v, bad in entries:
+        i = int(u * n)
+        K[i, int(v * i)] = bad  # j <= i: the lower triangle
+    with pytest.raises(NotPositiveDefinite):
+        factor_batch(K)
 
 
 def test_non_square_rejected():
@@ -238,6 +269,16 @@ def test_batch_pivot_tolerance_is_relative():
         factor_batch(below)
     assert exc.value.pivot_index == 2
     factor_batch(np.diag([scale, scale, scale * PIVOT_EPS * 4.0]))
+
+
+def test_batch_and_extension_share_the_pivot_floor():
+    # the second pivot squared, 1 - c^2 ~ 1.5e-12, clears PIVOT_EPS times
+    # the max diagonal (1) though not times the largest row sum (~2)
+    c = 1.0 - 0.75e-12
+    batch = factor_batch(np.array([[1.0, c], [c, 1.0]]))
+    extended = factor_extend(_order_one(1.0), np.array([c]), 1.0)
+    assert batch.m == extended.m == 2
+    assert batch.R[1, 1] > 0.0 and extended.R[1, 1] > 0.0
 
 
 def test_extend_pivot_tolerance_is_relative():

@@ -18,7 +18,7 @@ from ocksr.dataset import (
     write_csv,
 )
 from ocksr.kernel import KernelSpec, median_pairwise_distance
-from ocksr.model import fit, load_model, project_train, score_batch
+from ocksr.model import Model, fit, load_model, project_train, save_model, score_batch
 
 
 def _synth_csv(tmp_path, name="data.csv", n_pos=30, n_neg=20, d=5, sep=4.0, seed=0):
@@ -187,6 +187,56 @@ def test_calibrate_without_model_only_prints(tmp_path, capsys):
                "--rejection", "0.0", "--delta", "1e-8"])
     assert rc == 0
     assert "tau=" in capsys.readouterr().out
+
+
+def test_calibrate_refuses_supervised_model_exit_2(tmp_path, capsys):
+    # target-only fits give no threshold for a model trained on negatives
+    data, _ = _synth_csv(tmp_path, n_pos=25, n_neg=10, seed=7)
+    model_path = str(tmp_path / "m.bin")
+    assert main(["train", "--data", data, "--label-col", "0", "--negatives",
+                 "--out", model_path, "--delta", "1e-8"]) == 0
+    before = (tmp_path / "m.bin").read_bytes()
+    capsys.readouterr()
+    assert main(["calibrate", "--data", data, "--label-col", "0",
+                 "--rejection", "0.1", "--model", model_path]) == 2
+    assert "10 negative rows" in capsys.readouterr().err
+    assert (tmp_path / "m.bin").read_bytes() == before
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_model_file_exit_2(tmp_path, capsys, bad):
+    data, ds = _synth_csv(tmp_path, n_pos=15, n_neg=0, seed=8)
+    m = fit(l2_normalize(ds).targets(), KernelSpec(sigma=1.0, delta=1e-8))
+    X = m.X_train.copy()
+    X[4, 2] = bad
+    model_path = str(tmp_path / "m.bin")
+    save_model(Model(X, m.alpha, m.nu, m.spec), model_path)
+    before = (tmp_path / "m.bin").read_bytes()
+    capsys.readouterr()
+    assert main(["score", "--model", model_path, "--data", data,
+                 "--label-col", "0"]) == 2
+    assert main(["calibrate", "--data", data, "--label-col", "0",
+                 "--rejection", "0.1", "--model", model_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("non-finite") == 2 and "nan" not in captured.out
+    assert (tmp_path / "m.bin").read_bytes() == before
+
+
+def test_append_duplicate_row_at_zero_delta_exit_3(tmp_path, capsys):
+    # appends keep the stored delta: no ladder rescues a duplicate at 0
+    full = make_synthetic(20, 0, 5, 0.0, seed=9)
+    first = str(tmp_path / "first.csv")
+    dup = str(tmp_path / "dup.csv")
+    write_csv(full, first)
+    write_csv(Dataset(full.X[[7]], full.labels[[7]]), dup)
+    m1 = str(tmp_path / "m1.bin")
+    assert main(["train", "--data", first, "--label-col", "0", "--out", m1]) == 0
+    assert load_model(m1).spec.delta == 0.0
+    capsys.readouterr()
+    assert main(["train", "--data", dup, "--label-col", "0", "--append", m1,
+                 "--out", str(tmp_path / "m2.bin")]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "m2.bin")
 
 
 def test_append_matches_batch_retrain(tmp_path, capsys):

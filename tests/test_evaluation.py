@@ -18,13 +18,10 @@ from ocksr.evaluation import (
     ScoredSet,
     bench_run,
     best_neighborhood,
-    chi_square_from_ranks,
-    chi_square_p_value,
     friedman_ranks,
     friedman_test,
     make_scorer,
     repeated_aucs,
-    repeated_eval,
     roc_auc,
     write_bench_csv,
     write_bench_json,
@@ -151,17 +148,17 @@ def test_scorers_separate_synthetic_clouds():
     assert aucs.mean() > 0.9
 
 
-def test_repeated_eval_single_repeat_zero_std():
+def test_bench_run_single_repeat_zero_std():
     ds = make_synthetic(30, 30, 5, 4.0, seed=0)
-    mean, std = repeated_eval(ds, OcksrScorer(), repeats=1, base_seed=3)
-    assert std == 0.0 and 0.0 <= mean <= 1.0
+    cell = bench_run([ds], ["ocksr"], repeats=1, base_seed=3).cells[ds.name]["ocksr"]
+    assert cell.std == 0.0 and 0.0 <= cell.mean <= 1.0
 
 
-def test_repeated_eval_reproducible():
+def test_repeated_aucs_reproducible():
     ds = make_synthetic(25, 25, 4, 3.0, seed=1)
-    a = repeated_eval(ds, OcksrScorer(), repeats=4, base_seed=9)
-    b = repeated_eval(ds, OcksrScorer(), repeats=4, base_seed=9)
-    assert a == b
+    a = repeated_aucs(ds, [OcksrScorer()], repeats=4, base_seed=9)
+    b = repeated_aucs(ds, [OcksrScorer()], repeats=4, base_seed=9)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_repeated_aucs_error_carries_repeat_index():
@@ -303,11 +300,24 @@ def test_friedman_needs_two_methods():
 
 
 def test_chi_square_reference_case():
-    ranks = np.array([2.7, 3.9, 2.7, 3.7, 4.4, 7.8, 5.1, 5.7])
-    chi2 = chi_square_from_ranks(ranks, 10)
-    assert chi2 == pytest.approx(33.63333333333335, rel=1e-13)
-    assert chi_square_p_value(chi2, 7) == pytest.approx(2.0170117345469877e-05,
-                                                        rel=1e-5)
+    # 10 datasets x 8 methods, no ties; rank 1 is the highest AUC
+    ranks = np.array([
+        [2, 4, 1, 3, 5, 8, 6, 7],
+        [1, 5, 7, 4, 2, 8, 3, 6],
+        [3, 2, 1, 8, 5, 7, 6, 4],
+        [2, 1, 3, 5, 7, 8, 4, 6],
+        [1, 8, 2, 5, 3, 7, 4, 6],
+        [1, 5, 7, 2, 4, 8, 6, 3],
+        [6, 3, 1, 4, 2, 8, 7, 5],
+        [5, 2, 1, 3, 6, 8, 4, 7],
+        [4, 3, 1, 2, 5, 8, 7, 6],
+        [2, 6, 3, 1, 5, 8, 4, 7],
+    ])
+    res = friedman_test(1.0 - ranks / 10.0)
+    np.testing.assert_allclose(res.average_ranks,
+                               [2.7, 3.9, 2.7, 3.7, 4.4, 7.8, 5.1, 5.7], rtol=1e-15)
+    assert res.chi_square == pytest.approx(33.63333333333335, rel=1e-13)
+    assert res.p_value == pytest.approx(2.0170117345469877e-05, rel=1e-5)
 
 
 def test_friedman_test_end_to_end():
@@ -321,8 +331,9 @@ def test_friedman_test_end_to_end():
 
 
 def test_chi_square_p_value_validation():
+    # one method leaves the chi-square with no degree of freedom
     with pytest.raises(ValueError):
-        chi_square_p_value(1.0, 0)
+        friedman_test([[0.5], [0.7]])
 
 
 def test_bench_run_single_method_no_ranks():

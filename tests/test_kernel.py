@@ -3,13 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ocksr.cholesky import factor_batch
-from ocksr.kernel import (
-    KernelSpec,
-    gram,
-    kernel_cross,
-    kernel_eval,
-    median_pairwise_distance,
-)
+from ocksr.kernel import KernelSpec, gram, kernel_cross, median_pairwise_distance
+
+
+def kernel_eval(x, y, spec: KernelSpec) -> float:
+    """Scalar oracle: k(x, y) = exp(-||x - y||^2 / (2 sigma^2))."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if x.shape != y.shape:
+        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
+    diff = x - y
+    return float(np.exp(-float(diff @ diff) / (2.0 * spec.sigma**2)))
 
 
 def test_spec_validation():
@@ -63,14 +67,14 @@ def test_eval_monotone_in_distance():
 
 
 def test_gram_single_point():
-    g = gram(np.array([[1.0, 2.0]]), KernelSpec(delta=0.25))
-    np.testing.assert_array_equal(g.K, [[1.25]])
+    K = gram(np.array([[1.0, 2.0]]), KernelSpec(delta=0.25))
+    np.testing.assert_array_equal(K, [[1.25]])
 
 
 def test_gram_duplicate_points():
     X = np.array([[1.0, 2.0], [1.0, 2.0]])
-    np.testing.assert_array_equal(gram(X, KernelSpec()).K, [[1.0, 1.0], [1.0, 1.0]])
-    K = gram(X, KernelSpec(delta=0.1)).K
+    np.testing.assert_array_equal(gram(X, KernelSpec()), [[1.0, 1.0], [1.0, 1.0]])
+    K = gram(X, KernelSpec(delta=0.1))
     np.testing.assert_allclose(K, [[1.1, 1.0], [1.0, 1.1]], rtol=0, atol=1e-15)
     assert np.linalg.eigvalsh(K).min() == pytest.approx(0.1, rel=1e-12)
 
@@ -82,7 +86,7 @@ def test_gram_structure(seed, n, d):
     X = rng.standard_normal((n, d))
     spec = KernelSpec(sigma=float(rng.uniform(0.5, 2.5)),
                       delta=float(rng.choice([0.0, 1e-6, 0.2])))
-    K = gram(X, spec).K
+    K = gram(X, spec)
     assert np.array_equal(K, K.T)
     assert np.all(np.diag(K) == 1.0 + spec.delta)
     off = K[~np.eye(n, dtype=bool)]
@@ -94,7 +98,7 @@ def test_gram_structure(seed, n, d):
 def test_gram_positive_semidefinite(seed, n, d):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
-    K = gram(X, KernelSpec(sigma=float(rng.uniform(0.5, 2.0)))).K
+    K = gram(X, KernelSpec(sigma=float(rng.uniform(0.5, 2.0))))
     assert np.linalg.eigvalsh(K).min() >= -1e-10
 
 
@@ -106,7 +110,7 @@ def test_gram_factors_after_tiny_ridge(seed):
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(2, 30)), int(rng.integers(4, 8))
     X = rng.standard_normal((n, d))
-    K = gram(X, KernelSpec(sigma=1.0)).K
+    K = gram(X, KernelSpec(sigma=1.0))
     factor_batch(K + 1e-12 * np.eye(n))
 
 
@@ -116,21 +120,31 @@ def test_gram_ridge_floors_spectrum(seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((5, 3))
     delta = float(rng.uniform(0.01, 0.5))
-    K = gram(X, KernelSpec(sigma=1.0, delta=delta)).K
+    K = gram(X, KernelSpec(sigma=1.0, delta=delta))
     assert np.linalg.eigvalsh(K).min() >= delta - 1e-12
 
 
-def test_gram_records_spec():
-    spec = KernelSpec(sigma=2.0, delta=0.5)
-    g = gram(np.zeros((3, 2)), spec)
-    assert g.spec == spec and g.K.shape == (3, 3)
+@given(st.integers(0, 10**6), st.integers(1, 12), st.integers(1, 5))
+@settings(max_examples=30, deadline=None)
+def test_gram_and_cross_match_scalar_oracle(seed, n, d):
+    rng = np.random.default_rng(seed)
+    X, Z = rng.standard_normal((n, d)), rng.standard_normal((3, d))
+    spec = KernelSpec(sigma=float(rng.uniform(0.5, 2.5)), delta=0.125)
+    K, C = gram(X, spec), kernel_cross(X, Z, spec)
+    for i in range(n):
+        for j in range(n):
+            ref = kernel_eval(X[i], X[j], spec) + spec.delta * (i == j)
+            assert K[i, j] == pytest.approx(ref, rel=0, abs=1e-14)
+        for p in range(3):
+            assert C[p, i] == pytest.approx(kernel_eval(Z[p], X[i], spec),
+                                            rel=0, abs=1e-14)
 
 
 def test_kernel_cross_one_row_matches_gram_column():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((8, 3))
     spec = KernelSpec(sigma=1.1)
-    K = gram(X, spec).K
+    K = gram(X, spec)
     for j in (0, 3, 7):
         np.testing.assert_allclose(kernel_cross(X, X[j:j + 1], spec)[0], K[:, j],
                                    rtol=0, atol=1e-14)

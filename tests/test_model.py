@@ -119,7 +119,7 @@ def test_incremental_on_supervised_base():
     extra = rng.standard_normal((9, 4))
     spec = KernelSpec(sigma=1.2, delta=1e-8)
     inc = fit_incremental(fit_supervised(pos, neg, spec), extra)
-    K = gram(np.vstack([pos, neg, extra]), spec).K
+    K = gram(np.vstack([pos, neg, extra]), spec)
     nu = np.concatenate([np.ones(20), np.zeros(6), np.ones(9)])
     np.testing.assert_allclose(inc.alpha, np.linalg.solve(K, nu), atol=1e-9)
     np.testing.assert_array_equal(inc.nu, nu)
@@ -195,7 +195,7 @@ def test_concurrent_appends_from_one_base_match_batch():
     X = rng.standard_normal((n, d))
     new = rng.standard_normal((n_threads, d))
     refs = [fit(np.vstack([X, new[i]]), spec) for i in range(n_threads)]
-    K = gram(np.vstack([X, new]), spec).K
+    K = gram(np.vstack([X, new]), spec)
     ref_factors = [factor_batch(K[np.r_[:n, n + i]][:, np.r_[:n, n + i]]).R
                    for i in range(n_threads)]
 
@@ -355,7 +355,7 @@ def test_calibrate_matches_pinned_refit_oracle(seed, n, d, sigma_scale, delta,
     X = np.random.default_rng(seed).standard_normal((n, d))
     spec = KernelSpec(sigma=sigma_scale * median_pairwise_distance(X), delta=delta)
     # both paths lose about eps * cond digits; keep to well-conditioned sets
-    K = gram(X, spec).K + delta * np.eye(n)
+    K = gram(X, spec) + delta * np.eye(n)
     assume(np.linalg.cond(K) <= 1e6)
     tau = calibrate_threshold(X, spec, rejection)
     assert tau == pytest.approx(_pinned_refit_tau(X, spec, rejection), rel=1e-9)
@@ -498,6 +498,24 @@ def test_append_to_loaded_non_finite_model_rejected(tmp_path, bad):
         fit_incremental(load_model(path), np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("where,bad", [("rows", np.nan), ("rows", -np.inf),
+                                       ("alpha", np.inf), ("tau", np.nan)])
+def test_load_rejects_non_finite_values(tmp_path, where, bad):
+    X = np.random.default_rng(23).standard_normal((5, 2))
+    m = fit(X, KernelSpec(sigma=1.0, delta=1e-8))
+    X, alpha, tau = X.copy(), m.alpha.copy(), 0.5
+    if where == "rows":
+        X[2, 1] = bad
+    elif where == "alpha":
+        alpha[3] = bad
+    else:
+        tau = bad
+    path = str(tmp_path / "bad.bin")
+    save_model(Model(X, alpha, m.nu, m.spec, tau=tau), path)
+    with pytest.raises(ModelFormatError, match="non-finite"):
+        load_model(path)
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTMAG" + b"\x00" * 64)
@@ -530,6 +548,40 @@ def test_load_then_append_matches_batch(tmp_path):
     inc = fit_incremental(load_model(path), X[20:])
     ref = fit(X, spec)
     assert np.abs(inc.alpha - ref.alpha).max() <= 1e-9
+
+
+def test_append_without_caches_solves_once_at_stored_delta(tmp_path, monkeypatch):
+    # loaded or built directly, a model has no factor: the stored rows
+    # (positives, negatives) and the new ones are solved together once
+    rng = np.random.default_rng(24)
+    pos, neg, extra = (rng.standard_normal((12, 3)), rng.standard_normal((4, 3)) + 2.0,
+                       rng.standard_normal((5, 3)))
+    spec = KernelSpec(sigma=1.1, delta=1e-8)
+    base = fit_supervised(pos, neg, spec)
+    path = str(tmp_path / "m.bin")
+    save_model(replace(base, tau=0.3), path)
+    calls = []
+
+    def counting(K):
+        calls.append(K.shape[0])
+        return factor_batch(K)
+
+    monkeypatch.setattr(model_module, "factor_batch", counting)
+    direct = Model(base.X_train, base.alpha, base.nu, base.spec, n_neg=4)
+    for source in (load_model(path), direct):
+        inc = fit_incremental(source, extra)
+        nu = np.concatenate([np.ones(12), np.zeros(4), np.ones(5)])
+        np.testing.assert_array_equal(inc.nu, nu)
+        np.testing.assert_array_equal(inc.X_train, np.vstack([pos, neg, extra]))
+        K = gram(inc.X_train, spec)
+        np.testing.assert_allclose(inc.alpha, np.linalg.solve(K, nu), atol=1e-9)
+        assert inc.n_neg == 4 and inc.spec == spec and inc.tau == source.tau
+        # the result carries caches: the next append extends its factor
+        again = fit_incremental(inc, extra[:1] + 0.5)
+        K = gram(again.X_train, spec)
+        np.testing.assert_allclose(again.alpha, np.linalg.solve(K, again.nu),
+                                   atol=1e-9)
+    assert calls == [21, 21]
 
 
 def test_model_validation():
