@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Measure the cost of a one-row append against a full refit as n grows.
 
-Each append extends the cached Cholesky factor by one bordered column
-instead of refactorizing, so its cost should stay a small fraction of
-the refit cost and shrink as n grows.
+An append of m rows borders the cached Cholesky factor of order n by m
+rows and columns instead of refactorizing: one triangular solve per new
+row against the old factor, then an m x m factorization.  With m = 1
+that is O(n^2) against the refit's O(n^3), so the append's cost should
+stay a small fraction of the refit cost and shrink as n grows.
 
     python scripts/streaming_cost.py --sizes 250 500 1000 2000
 """

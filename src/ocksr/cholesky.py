@@ -1,25 +1,28 @@
-"""Cholesky factorization with row-bordered incremental extension.
+"""Cholesky factorization by row bordering.
 
 Convention: K = R^T R with R upper triangular, no pivoting.  The fixed
-elimination order is what makes appending a training row a quadratic
-update instead of a cubic refactorization: bordering K by one row and
-column appends exactly one column to R, obtained from a single
-triangular solve, while the existing factor is untouched.
+elimination order is what makes appending training rows cheap: bordering
+K by m new rows and columns appends m columns to R, and the existing
+factor is untouched.  The new columns are R12 = R11^-T K12, one
+triangular solve per new row, over R22 = chol(K22 - R12^T R12).  A
+batch factorization is the bordering of an empty factor, so one routine,
+``factor_batch``, does both.
 
-R is held column-packed (BLAS upper packed layout), so an appended
-column is a contiguous write at the tail of the buffer and the
-triangular solves run on the packed storage without copying.  The
-buffer is a ``_Tail`` with spare capacity, shared between a factor and
-its extensions: extending the newest factor appends in place, extending
-an older one copies first.  Factors are immutable values, and extending
-one factor from several threads at once is safe: one extension claims
-the buffer's tip, the others copy.
+R is held column-packed (BLAS upper packed layout), so appended columns
+are a contiguous write at the tail of the buffer and the triangular
+solves run on the packed storage without copying.  The buffer is a
+``_Tail`` with spare capacity, shared between a factor and its
+extensions: extending the newest factor appends in place, extending an
+older one copies first.  Factors are immutable values, and extending one
+factor from several threads at once is safe: one extension claims the
+buffer's tip, the others copy.
 
-Matrices reach ``factor_batch`` from ``kernel.gram``, which only builds
-them from rows checked where they entered the library, so it follows
-LAPACK's contract: it reads one triangle and makes no checking pass over
-K.  Its pivot test rejects NaN pivots, so a non-finite entry in the
-triangle it reads still raises ``NotPositiveDefinite``.
+Matrices reach ``factor_batch`` from ``kernel.gram`` and the model's
+appends, which only build them from rows checked where they entered the
+library, so it follows LAPACK's contract: it reads one triangle and
+makes no checking pass over K.  Its pivot test rejects NaN pivots, so a
+non-finite entry in the triangle it reads still raises
+``NotPositiveDefinite``.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from scipy.linalg.blas import dtpsv
+from scipy.linalg.blas import dgemv, dsyrk, dtpsv
 from scipy.linalg.lapack import dpotrf, dtpttr, dtrtri, dtrttp
 
-# A pivot at or below PIVOT_EPS times the max diagonal of the factored
-# matrix is treated as numerically zero, in batch and extension alike.
+# A pivot whose square is at or below PIVOT_EPS times the max diagonal of
+# the factored matrix up to its row is treated as numerically zero.
 PIVOT_EPS = 1e-12
 
 
@@ -79,30 +82,18 @@ class _Tail:
 class CholeskyFactor:
     """Upper-triangular factor R of a symmetric positive definite matrix.
 
-    ``R`` and ``column`` expose the factor; instances never change after
-    construction.  ``_max_diag`` tracks the largest diagonal entry of
-    the factored matrix so extension applies the same relative pivot
-    tolerance as batch factorization.
+    R is the first m (m + 1) / 2 entries of a column-packed ``_Tail``;
+    instances never change after construction.  ``_max_diag`` tracks the
+    largest diagonal entry of the factored matrix, the scale of the
+    relative pivot tolerance.
     """
 
     __slots__ = ("_tail", "_m", "_max_diag")
 
-    def __init__(self, R, max_diag: float | None = None):
-        R = np.asarray(R, dtype=np.float64)
-        if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] < 1:
-            raise ValueError("R must be a square matrix of order >= 1")
-        self._tail = _Tail().extend(0, dtrttp(R)[0])
-        self._m = R.shape[0]
-        diag = np.diag(R) ** 2
-        self._max_diag = float(diag.max()) if max_diag is None else float(max_diag)
-
-    @classmethod
-    def _wrap(cls, tail: _Tail, m: int, max_diag: float) -> "CholeskyFactor":
-        obj = object.__new__(cls)
-        obj._tail = tail
-        obj._m = m
-        obj._max_diag = max_diag
-        return obj
+    def __init__(self, tail: _Tail, m: int, max_diag: float):
+        self._tail = tail
+        self._m = m
+        self._max_diag = max_diag
 
     @property
     def m(self) -> int:
@@ -123,102 +114,97 @@ class CholeskyFactor:
         out.setflags(write=False)
         return out
 
-    def column(self, j: int) -> np.ndarray:
-        """Read-only view of column j of R (its leading j + 1 entries)."""
-        if not 0 <= j < self._m:
-            raise IndexError(f"column {j} out of range for order {self._m}")
-        lo = j * (j + 1) // 2
-        view = self._tail.buf[lo: lo + j + 1].view()
-        view.setflags(write=False)
-        return view
-
     def __repr__(self) -> str:
         return f"CholeskyFactor(m={self._m})"
 
 
-def factor_batch(K) -> CholeskyFactor:
-    """Factor a symmetric positive definite matrix as K = R^T R.
+def _vector(v, n: int) -> np.ndarray:
+    v = np.ascontiguousarray(np.asarray(v, dtype=np.float64).ravel())
+    if v.shape[0] != n:
+        raise ValueError(f"expected a vector of length {n}, got {v.shape[0]}")
+    return v
 
-    Only the lower triangle of K (i >= j) is read; the strict upper
-    triangle may hold anything.  K is not checked for symmetry or
-    finiteness: a NaN or infinity in the lower triangle yields a NaN or
-    nonpositive pivot, which is rejected like any other.
+
+def factor_batch(K_rows, b, base: CholeskyFactor | None = None,
+                 theta=None) -> tuple[CholeskyFactor, np.ndarray]:
+    """Border a factor of order n by a batch of m new rows of K = R^T R.
+
+    ``K_rows`` holds the m new rows of K, shape (m, n + m), against the
+    n rows ``base`` factors and the new rows themselves.  Only entries
+    with j <= n + i (K's lower triangle) are read; the rest may hold
+    anything.  Without ``base``, n = 0 and ``K_rows`` is K itself.
+    K_rows is not checked for finiteness: a NaN or infinity in the read
+    triangle yields a NaN or nonpositive pivot, which is rejected like
+    any other.
+
+    The same call extends the forward substitution theta = R^-T b: given
+    ``theta``, the base's n entries, it returns the m new ones for the
+    new rows' right-hand side ``b``.
+
+    Returns:
+        (factor of order n + m, theta's m new entries).
 
     Raises:
-        NotPositiveDefinite: with the 0-based index of the first pivot
-            not above PIVOT_EPS times the max diagonal of K.
-        ValueError: K is not square of order >= 1.
+        NotPositiveDefinite: with the 0-based index, counted from the
+            first row of K, of the first pivot whose square is not above
+            PIVOT_EPS times the max diagonal of K up to that row.
+        ValueError: K_rows is not of shape (m, n + m) with m >= 1.
     """
-    K = np.asarray(K, dtype=np.float64)
-    if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] < 1:
-        raise ValueError("K must be a square matrix of order >= 1")
+    K_rows = np.asarray(K_rows, dtype=np.float64)
+    n = 0 if base is None else base._m
+    m = K_rows.shape[0] if K_rows.ndim == 2 else 0
+    if m < 1 or K_rows.shape[1] != n + m:
+        raise ValueError(f"K_rows must have shape (m, {n} + m) with m >= 1")
+    b = _vector(b, m)
+    if n:
+        if theta is None:
+            raise ValueError("bordering a base needs the base's theta")
+        theta = _vector(theta, n)
 
-    max_diag = float(np.diag(K).max())
-    # the upper triangle of K^T is the lower triangle of K, and K^T of a
-    # C-ordered K is Fortran-ordered: LAPACK copies it once, no transpose
-    R, info = dpotrf(K.T, lower=0, clean=1, overwrite_a=0)
-    if info > 0:
-        raise NotPositiveDefinite(info - 1)
+    lo = n * (n + 1) // 2
+    # the upper triangle of S^T is the lower triangle of S, and the
+    # transpose of C-ordered rows is Fortran-ordered: BLAS or LAPACK copies
+    # it once, no transpose
+    S = K_rows[:, n:].T
+    R12 = np.empty((n, m), order="F")
+    if n:
+        for i in range(m):
+            R12[:, i] = dtpsv(n, base._tail.buf[:lo], K_rows[i, :n],
+                              lower=0, trans=1)
+        S = dsyrk(-1.0, R12, beta=1.0, c=S, trans=1)
+    R22, info = dpotrf(S, lower=0, clean=1, overwrite_a=0)
     if info < 0:
         raise ValueError(f"illegal argument {-info} in dpotrf")
+    # row j's floor uses the max diagonal up to row j, as bordering one
+    # row at a time would; on a failure LAPACK completed the pivots before
+    # it, and the first small one among them is where K stops being
+    # numerically definite
+    max_diag = np.maximum.accumulate(np.diagonal(K_rows, n))
+    if n:
+        np.maximum(max_diag, base._max_diag, out=max_diag)
+    done = info - 1 if info > 0 else m
     # negated so that a NaN pivot, or a NaN max diagonal, fails the test
-    small = np.flatnonzero(~(np.diag(R) ** 2 > PIVOT_EPS * max_diag))
-    if small.size:
-        raise NotPositiveDefinite(int(small[0]))
+    pivots = np.diag(R22)[:done]
+    small = np.flatnonzero(~(pivots**2 > PIVOT_EPS * max_diag[:done]))
+    if small.size or info > 0:
+        raise NotPositiveDefinite(n + (int(small[0]) if small.size else done))
 
-    return CholeskyFactor._wrap(_Tail().extend(0, dtrttp(R)[0]), K.shape[0], max_diag)
-
-
-def factor_extend(factor: CholeskyFactor, k_new, k_diag: float) -> CholeskyFactor:
-    """Extend R to factor the matrix bordered by one new row and column.
-
-    ``k_new`` holds the kernel values between the new point and the m
-    existing points; ``k_diag`` is the new diagonal entry.  The new last
-    column of R is the solution of R^T r = k_new followed by the pivot
-    square root; the cost is one triangular solve, quadratic in m.
-
-    Raises:
-        NotPositiveDefinite: the Schur complement of the new row is at
-            or below the relative pivot tolerance (index m, 0-based).
-    """
-    m = factor._m
-    k_new = np.ascontiguousarray(np.asarray(k_new, dtype=np.float64).ravel())
-    if k_new.shape[0] != m:
-        raise ValueError(f"k_new must have length {m}, got {k_new.shape[0]}")
-    k_diag = float(k_diag)
-    if not (np.isfinite(k_diag) and np.isfinite(k_new).all()):
-        raise ValueError("new row contains non-finite entries")
-
-    lo = m * (m + 1) // 2
-    r_col = dtpsv(m, factor._tail.buf[:lo], k_new, lower=0, trans=1)
-    schur = k_diag - float(r_col @ r_col)
-    max_diag = max(factor._max_diag, k_diag)
-    if schur <= PIVOT_EPS * max_diag:
-        raise NotPositiveDefinite(m)
-    tail = factor._tail.extend(lo, np.concatenate((r_col, [np.sqrt(schur)])))
-    return CholeskyFactor._wrap(tail, m + 1, max_diag)
-
-
-def _check_rhs(factor: CholeskyFactor, b) -> np.ndarray:
-    b = np.ascontiguousarray(np.asarray(b, dtype=np.float64).ravel())
-    if b.shape[0] != factor._m:
-        raise ValueError(f"right-hand side must have length {factor._m}, "
-                         f"got {b.shape[0]}")
-    return b
-
-
-def solve_lower_transposed(factor: CholeskyFactor, b) -> np.ndarray:
-    """Solve R^T theta = b by forward substitution."""
-    b = _check_rhs(factor, b)
-    m = factor._m
-    return dtpsv(m, factor._tail.buf[: m * (m + 1) // 2], b, lower=0, trans=1)
+    rhs = dgemv(-1.0, R12, theta, beta=1.0, y=b, trans=1) if n else b
+    packed = dtrttp(R22)[0]
+    theta_new = dtpsv(m, packed, rhs, lower=0, trans=1)
+    if n:
+        # new column j of R is R12[:, j] over the top j + 1 entries of R22[:, j]
+        packed = np.concatenate(
+            [x for j in range(m) for x in (R12[:, j], R22[: j + 1, j])])
+    tail = (_Tail() if base is None else base._tail).extend(lo, packed)
+    return CholeskyFactor(tail, n + m, float(max_diag[-1])), theta_new
 
 
 def solve_upper(factor: CholeskyFactor, theta) -> np.ndarray:
     """Solve R alpha = theta by back substitution."""
-    theta = _check_rhs(factor, theta)
     m = factor._m
-    return dtpsv(m, factor._tail.buf[: m * (m + 1) // 2], theta, lower=0, trans=0)
+    return dtpsv(m, factor._tail.buf[: m * (m + 1) // 2], _vector(theta, m),
+                 lower=0, trans=0)
 
 
 def _unpack(factor: CholeskyFactor) -> np.ndarray:

@@ -24,8 +24,6 @@ from .cholesky import (
     _Tail,
     _inverse_diag,
     factor_batch,
-    factor_extend,
-    solve_lower_transposed,
     solve_upper,
 )
 from .kernel import KernelSpec, _rbf, _sq_dists, gram, kernel_cross
@@ -63,10 +61,11 @@ class Model:
     ``load_model`` copy the rows they are given or read.
 
     ``factor`` (the Cholesky factor R of the regularized Gram matrix)
-    and ``tails`` are in-memory caches that make an append cost one
-    kernel row and one bordered factor column.  ``tails`` holds three
-    ``cholesky._Tail`` buffers: the rows, flattened, with ``X_train`` a
-    view of their prefix; their squared norms; and theta = R^-T nu.
+    and ``tails`` are in-memory caches that make appending m rows cost
+    m kernel rows and one bordering of the factor by those m rows.
+    ``tails`` holds three ``cholesky._Tail`` buffers: the rows,
+    flattened, with ``X_train`` a view of their prefix; their squared
+    norms; and theta = R^-T nu.
     Models appended from one another share these buffers.  Neither cache
     is serialized: the first append to a model without them (loaded, or
     built directly) solves once over the stored and new rows.
@@ -128,7 +127,7 @@ def _solve_with_ladder(
 
     Returns (alpha, factor, effective spec, theta) with theta the
     forward-substitution half of the solve, retained so appends can
-    extend it entry by entry.
+    extend it.
     """
     # Only the diagonal changes along the ladder, so one Gram matrix
     # serves every rung; factor_batch copies it before factoring.
@@ -138,7 +137,7 @@ def _solve_with_ladder(
     for delta in deltas:
         np.fill_diagonal(K, 1.0 + delta)
         try:
-            factor = factor_batch(K)
+            factor, theta = factor_batch(K, nu)
         except NotPositiveDefinite as exc:
             last = exc
             logger.warning(
@@ -149,7 +148,6 @@ def _solve_with_ladder(
         if delta != spec.delta:
             logger.warning("regularizer escalated from delta=%g to delta=%g",
                            spec.delta, delta)
-        theta = solve_lower_transposed(factor, nu)
         alpha = solve_upper(factor, theta)
         return alpha, factor, replace(spec, delta=delta), theta
     assert last is not None
@@ -200,12 +198,13 @@ def fit_supervised(X_pos, X_neg, spec: KernelSpec) -> Model:
 def fit_incremental(model: Model, X_new) -> Model:
     """Append positive rows to a trained model, extending its factor.
 
-    Each new row contributes one bordered column to the retained
-    Cholesky factor (one triangular solve) and one entry to the cached
-    forward-substituted response, after which a single back substitution
-    yields the enlarged coefficient vector.  The result matches a batch
-    fit on the concatenated rows.  Appended rows are always treated as
-    positives; adding negatives requires a refit.
+    The m new rows border the retained Cholesky factor by m rows and
+    columns (one triangular solve per row against the old factor, then
+    an m x m factorization) and extend the cached forward-substituted
+    response, after which a single back substitution yields the enlarged
+    coefficient vector.  The result matches a batch fit on the
+    concatenated rows.  Appended rows are always treated as positives;
+    adding negatives requires a refit.
 
     A model without caches (loaded, or built directly) has no factor to
     extend: its stored and new rows are solved together once, in stored
@@ -226,25 +225,18 @@ def fit_incremental(model: Model, X_new) -> Model:
         return _with_caches(X, alpha, nu, spec, model.n_neg, factor, theta,
                             tau=model.tau)
 
-    n, d = model.n, model.d
-    n_all = n + X_new.shape[0]
+    (n, d), m, spec = model.X_train.shape, X_new.shape[0], model.spec
     rows, sq, theta = model.tails
+    sq_new = np.einsum("ij,ij->i", X_new, X_new)
     rows = rows.extend(n * d, X_new.ravel())
-    sq = sq.extend(n, [row @ row for row in X_new])
-    X, sq_all = rows.buf[: n_all * d].reshape(n_all, d), sq.buf[:n_all]
-    # theta's entries arrive one per row, each a dot with all before it
-    theta_all = np.empty(n_all)
-    theta_all[:n] = theta.buf[:n]
-    factor, spec = model.factor, model.spec
-    for m in range(n, n_all):
-        k_new = _rbf(_sq_dists(X[m: m + 1], X[:m], sq_all[m: m + 1], sq_all[:m]),
-                     spec.sigma)[0]
-        # self-kernel of the rbf family is exactly 1
-        factor = factor_extend(factor, k_new, 1.0 + spec.delta)
-        col = factor.column(m)
-        theta_all[m] = (1.0 - col[:m] @ theta_all[:m]) / col[m]
-    theta = theta.extend(n, theta_all[n:])
-    alpha = solve_upper(factor, theta_all)
+    sq = sq.extend(n, sq_new)
+    X = rows.buf[: (n + m) * d].reshape(n + m, d)
+    # the new rows of K, against every row; the rbf self-kernel is exactly 1
+    K_rows = _rbf(_sq_dists(X_new, X, sq_new, sq.buf[: n + m]), spec.sigma)
+    np.fill_diagonal(K_rows[:, n:], 1.0 + spec.delta)
+    factor, theta_new = factor_batch(K_rows, nu[n:], model.factor, theta.buf[:n])
+    theta = theta.extend(n, theta_new)
+    alpha = solve_upper(factor, theta.buf[: n + m])
     return Model(X, alpha, nu, spec, n_neg=model.n_neg, tau=model.tau,
                  factor=factor, tails=(rows, sq, theta))
 
@@ -369,8 +361,10 @@ def load_model(path: str) -> Model:
     """Load a model saved by ``save_model``.
 
     Raises:
-        ModelFormatError: bad magic, unknown family, truncated payload, or
-            non-finite rows, coefficients or threshold.
+        ModelFormatError: bad magic, unknown family, a bandwidth or
+            regularizer out of range, no rows or more negative rows than
+            rows, truncated payload, or non-finite rows, coefficients or
+            threshold.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -384,6 +378,12 @@ def load_model(path: str) -> Model:
         raise ModelFormatError(f"{path}: bad magic {magic!r}")
     if family_code not in _FAMILY_NAMES:
         raise ModelFormatError(f"{path}: unknown kernel family code {family_code}")
+    try:
+        spec = KernelSpec(family=_FAMILY_NAMES[family_code], sigma=sigma, delta=delta)
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
+    if n < 1 or n_neg > n:
+        raise ModelFormatError(f"{path}: {n} rows, {n_neg} of them negative")
     offset = head_size
     tau = None
     if flags & 1:
@@ -406,5 +406,4 @@ def load_model(path: str) -> Model:
         raise ModelFormatError(
             f"{path}: non-finite training rows, coefficients or threshold")
     nu = np.concatenate([np.ones(n - n_neg), np.zeros(n_neg)])
-    spec = KernelSpec(family=_FAMILY_NAMES[family_code], sigma=sigma, delta=delta)
     return Model(X, alpha, nu, spec, n_neg=n_neg, tau=tau)

@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from ocksr.cholesky import (
-    factor_batch,
-    factor_extend,
-    solve_lower_transposed,
-    solve_upper,
-)
+from ocksr.cholesky import factor_batch, solve_upper
 from ocksr.dataset import l2_normalize, load_csv, make_synthetic, random_split
 from ocksr.evaluation import (
     ScoredSet,
@@ -34,9 +29,9 @@ from ocksr.kernel import KernelSpec, gram, kernel_cross, median_pairwise_distanc
 from ocksr.model import fit, fit_incremental, fit_supervised, project_train
 
 
-def solve_spd(factor, b):
-    """Solve K x = b given K = R^T R: forward then back substitution."""
-    return solve_upper(factor, solve_lower_transposed(factor, b))
+def solve_spd(K, b):
+    """Solve K x = b: factor K with theta = R^-T b, then back substitute."""
+    return solve_upper(*factor_batch(K, b))
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -120,19 +115,20 @@ def test_incremental_equals_batch():
         n = int(rng.integers(10, 301))
         A = rng.standard_normal((n, n + 5))
         K = A @ A.T / n + 0.5 * np.eye(n)
-        start = int(rng.integers(1, n))
-        f = factor_batch(K[:start, :start])
-        m = start
-        while m < n:  # arbitrary append schedule: random chunk sizes
-            step = int(rng.integers(1, min(16, n - m) + 1))
-            for j in range(m, m + step):
-                f = factor_extend(f, K[:j, j], K[j, j])
-            m += step
-        g = factor_batch(K)
         nu = np.ones(n)
+        start = int(rng.integers(1, n))
+        f, theta = factor_batch(K[:start, :start], nu[:start])
+        m = start
+        while m < n:  # arbitrary append schedule: one block per random chunk
+            step = int(rng.integers(1, min(16, n - m) + 1))
+            f, theta_new = factor_batch(K[m: m + step, : m + step], nu[m: m + step],
+                                        f, theta)
+            theta = np.concatenate((theta, theta_new))
+            m += step
+        g, theta_batch = factor_batch(K, nu)
         worst_factor = max(worst_factor, float(np.abs(f.R - g.R).max()))
-        worst_alpha = max(worst_alpha,
-                          float(np.abs(solve_spd(f, nu) - solve_spd(g, nu)).max()))
+        worst_alpha = max(worst_alpha, float(np.abs(
+            solve_upper(f, theta) - solve_upper(g, theta_batch)).max()))
     elapsed = time.perf_counter() - t0
     ok = worst_alpha <= 1e-9 and worst_factor <= 1e-9 and elapsed < 60.0
     _report("incremental vs batch", ok,
@@ -148,7 +144,7 @@ def test_cholesky_reconstruction():
         n = int(rng.integers(1, 201))
         A = rng.standard_normal((n, n + 3))
         K = A @ A.T + 0.1 * np.eye(n)
-        R = factor_batch(K).R
+        R = factor_batch(K, np.ones(n))[0].R
         worst = max(worst, float(np.linalg.norm(R.T @ R - K) / np.linalg.norm(K)))
     ok = worst <= 1e-10
     _report("cholesky reconstruction", ok,
@@ -160,11 +156,11 @@ def test_response_scale_invariance():
     train, test = random_split(ds, 0.5, seed=77)
     X = train.targets()
     spec = KernelSpec(sigma=median_pairwise_distance(X), delta=0.0)
-    f = factor_batch(gram(X, spec))
+    K = gram(X, spec)
     Kz = kernel_cross(X, test.X, spec)
     aucs = {}
     for c in (1.0, 0.5, 3.0, -2.0):
-        alpha_c = solve_spd(f, np.full(X.shape[0], c))
+        alpha_c = solve_spd(K, np.full(X.shape[0], c))
         novelty = np.abs(Kz @ alpha_c - c)
         aucs[c] = roc_auc(ScoredSet(novelty, test.labels))
     ok = all(aucs[c] == aucs[1.0] for c in (0.5, 3.0, -2.0))

@@ -1,5 +1,7 @@
 import json
 import os
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,7 +139,8 @@ def test_score_writes_file(tmp_path, capsys):
     rc = main(["score", "--model", model_path, "--data", data, "--label-col", "0",
                "--out", out_path])
     assert rc == 0
-    text = open(out_path).read()
+    with open(out_path) as fh:
+        text = fh.read()
     assert text.startswith("index,projection,novelty")
     assert len(text.strip().splitlines()) == 11
 
@@ -156,13 +159,15 @@ def test_calibrate_dimension_mismatch_exit_2(tmp_path, capsys):
     other, _ = _synth_csv(tmp_path, name="other.csv", n_neg=0, d=3)
     model_path = str(tmp_path / "m.bin")
     main(["train", "--data", data, "--label-col", "0", "--out", model_path])
-    before = open(model_path, "rb").read()
+    with open(model_path, "rb") as fh:
+        before = fh.read()
     capsys.readouterr()
     assert main(["calibrate", "--data", other, "--label-col", "0",
                  "--rejection", "0.1", "--model", model_path]) == 2
     err = capsys.readouterr().err
     assert "dimension 3" in err and "dimension 5" in err
-    assert open(model_path, "rb").read() == before
+    with open(model_path, "rb") as fh:
+        assert fh.read() == before
 
 
 def test_calibrate_prints_tau_and_updates_model(tmp_path, capsys):
@@ -220,6 +225,26 @@ def test_non_finite_model_file_exit_2(tmp_path, capsys, bad):
     captured = capsys.readouterr()
     assert captured.err.count("non-finite") == 2 and "nan" not in captured.out
     assert (tmp_path / "m.bin").read_bytes() == before
+
+
+@pytest.mark.parametrize("fmt,offset,value", [
+    ("<d", 8, np.nan), ("<d", 8, 0.0), ("<d", 8, -1.0),  # sigma
+    ("<d", 16, -1e-8),  # delta
+    ("<Q", 32, 16),  # n_neg, above n = 15
+])
+def test_bad_model_header_exit_2(tmp_path, capsys, fmt, offset, value):
+    data, ds = _synth_csv(tmp_path, n_pos=15, n_neg=0, seed=8)
+    model_path = tmp_path / "m.bin"
+    save_model(fit(l2_normalize(ds).targets(), KernelSpec(sigma=1.0, delta=1e-8)),
+               str(model_path))
+    blob = bytearray(model_path.read_bytes())
+    struct.pack_into(fmt, blob, offset, value)
+    model_path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["score", "--model", str(model_path), "--data", data,
+                 "--label-col", "0"]) == 2
+    assert str(model_path) in capsys.readouterr().err
+    assert model_path.read_bytes() == bytes(blob)
 
 
 def test_append_duplicate_row_at_zero_delta_exit_3(tmp_path, capsys):
@@ -302,7 +327,8 @@ def test_eval_command_prints_and_writes_json(tmp_path, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "kmeans k=4: mean_auc=" in text
-    payload = json.loads(open(out).read())
+    with open(out) as fh:
+        payload = json.load(fh)
     assert payload["repeats"] == 2
     assert payload["base_seed"] == 3
 
@@ -331,7 +357,7 @@ def test_bench_deterministic_outputs(tmp_path, capsys):
                      "--method", "ocksr", "--method", "kmeans",
                      "--repeats", "2", "--seed", "9", "--k", "4",
                      "--out", out]) == 0
-        blobs.append([open(out + s, "rb").read()
+        blobs.append([Path(out + s).read_bytes()
                       for s in (".csv", "_ranks.csv", ".json")])
     capsys.readouterr()
     assert blobs[0] == blobs[1]

@@ -111,7 +111,7 @@ def test_gram_factors_after_tiny_ridge(seed):
     n, d = int(rng.integers(2, 30)), int(rng.integers(4, 8))
     X = rng.standard_normal((n, d))
     K = gram(X, KernelSpec(sigma=1.0))
-    factor_batch(K + 1e-12 * np.eye(n))
+    factor_batch(K + 1e-12 * np.eye(n), np.ones(n))
 
 
 @given(st.integers(0, 10**6))

@@ -1,4 +1,5 @@
 import logging
+import struct
 import sys
 import threading
 from dataclasses import replace
@@ -8,12 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ocksr.model as model_module
-from ocksr.cholesky import (
-    CholeskyFactor,
-    NotPositiveDefinite,
-    factor_batch,
-    factor_extend,
-)
+from ocksr.cholesky import CholeskyFactor, NotPositiveDefinite, factor_batch
 from ocksr.dataset import Dataset
 from ocksr.kernel import KernelSpec, gram, median_pairwise_distance
 from ocksr.model import (
@@ -196,14 +192,18 @@ def test_concurrent_appends_from_one_base_match_batch():
     new = rng.standard_normal((n_threads, d))
     refs = [fit(np.vstack([X, new[i]]), spec) for i in range(n_threads)]
     K = gram(np.vstack([X, new]), spec)
-    ref_factors = [factor_batch(K[np.r_[:n, n + i]][:, np.r_[:n, n + i]]).R
-                   for i in range(n_threads)]
+    ones = np.ones(n + 1)
+    ref_factors = [
+        factor_batch(K[np.r_[:n, n + i]][:, np.r_[:n, n + i]], ones)[0].R
+        for i in range(n_threads)]
+    theta = factor_batch(K[:n, :n], ones[:n])[1]
 
     def extend_model(base, i):
         return fit_incremental(base, new[i: i + 1])
 
     def extend_factor(base, i):
-        return factor_extend(base, K[:n, n + i], K[n + i, n + i])
+        row = np.append(K[n + i, :n], K[n + i, n + i])[None, :]
+        return factor_batch(row, ones[:1], base, theta)[0]
 
     bad_models = bad_factors = 0
     interval = sys.getswitchinterval()
@@ -216,8 +216,9 @@ def test_concurrent_appends_from_one_base_match_batch():
                     isinstance(got, Model)
                     and np.array_equal(got.X_train[n], new[i])
                     and np.abs(got.alpha - refs[i].alpha).max() <= 1e-9)
-            for i, got in enumerate(_race(lambda: factor_batch(K[:n, :n]),
-                                          extend_factor, n_threads)):
+            for i, got in enumerate(_race(
+                    lambda: factor_batch(K[:n, :n], ones[:n])[0],
+                    extend_factor, n_threads)):
                 bad_factors += not (
                     isinstance(got, CholeskyFactor)
                     and np.abs(got.R - ref_factors[i]).max() <= 1e-9)
@@ -377,9 +378,9 @@ def test_calibrate_duplicate_rows_use_escalated_delta(rejection):
 def test_calibrate_factors_once(monkeypatch):
     calls = []
 
-    def counting(K):
+    def counting(K, *args):
         calls.append(K.shape)
-        return factor_batch(K)
+        return factor_batch(K, *args)
 
     monkeypatch.setattr(model_module, "factor_batch", counting)
     X = np.random.default_rng(15).standard_normal((30, 3))
@@ -390,7 +391,7 @@ def test_calibrate_factors_once(monkeypatch):
 def test_calibrate_raises_when_every_rung_fails(monkeypatch):
     calls = []
 
-    def singular(K):
+    def singular(K, *args):
         calls.append(K.shape)
         raise NotPositiveDefinite(1)
 
@@ -516,6 +517,28 @@ def test_load_rejects_non_finite_values(tmp_path, where, bad):
         load_model(path)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("sigma", np.nan, "sigma"), ("sigma", 0.0, "sigma"), ("sigma", -1.0, "sigma"),
+    ("delta", -1e-8, "delta"), ("n_neg", 6, "6 of them negative"),
+    ("n", 0, "0 rows"),
+])
+def test_load_rejects_bad_header_fields(tmp_path, field, value, message):
+    m = fit(np.random.default_rng(25).standard_normal((5, 2)),
+            KernelSpec(sigma=1.0, delta=1e-8))
+    path = tmp_path / "bad.bin"
+    save_model(m, str(path))
+    blob = bytearray(path.read_bytes())
+    if field == "n":  # a header with no rows, and so no payload
+        del blob[48:]
+    fmt, offset = {"sigma": ("<d", 8), "delta": ("<d", 16), "n": ("<Q", 24),
+                   "n_neg": ("<Q", 32)}[field]
+    struct.pack_into(fmt, blob, offset, value)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ModelFormatError, match=message) as exc:
+        load_model(str(path))
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTMAG" + b"\x00" * 64)
@@ -562,9 +585,9 @@ def test_append_without_caches_solves_once_at_stored_delta(tmp_path, monkeypatch
     save_model(replace(base, tau=0.3), path)
     calls = []
 
-    def counting(K):
-        calls.append(K.shape[0])
-        return factor_batch(K)
+    def counting(K_rows, *args):
+        calls.append(K_rows.shape)
+        return factor_batch(K_rows, *args)
 
     monkeypatch.setattr(model_module, "factor_batch", counting)
     direct = Model(base.X_train, base.alpha, base.nu, base.spec, n_neg=4)
@@ -576,12 +599,13 @@ def test_append_without_caches_solves_once_at_stored_delta(tmp_path, monkeypatch
         K = gram(inc.X_train, spec)
         np.testing.assert_allclose(inc.alpha, np.linalg.solve(K, nu), atol=1e-9)
         assert inc.n_neg == 4 and inc.spec == spec and inc.tau == source.tau
-        # the result carries caches: the next append extends its factor
-        again = fit_incremental(inc, extra[:1] + 0.5)
+        # the result carries caches: the next append borders its factor
+        again = fit_incremental(inc, extra[:2] + 0.5)
         K = gram(again.X_train, spec)
         np.testing.assert_allclose(again.alpha, np.linalg.solve(K, again.nu),
                                    atol=1e-9)
-    assert calls == [21, 21]
+    # one factorization of all 21 rows, then one border by 2 rows onto it
+    assert calls == [(21, 21), (2, 23)] * 2
 
 
 def test_model_validation():
