@@ -31,7 +31,6 @@ class EigenSolverDidNotConverge(RuntimeError):
 
 @dataclass(frozen=True)
 class KMeansModel:
-    method = "kmeans"
     centers: np.ndarray
 
 
@@ -82,7 +81,6 @@ def kmeans_score(model: KMeansModel, Z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KnnddModel:
-    method = "knndd"
     X: np.ndarray
     k: int
     self_kth: np.ndarray  # per-row distance to its own k-th nearest other row
@@ -129,7 +127,6 @@ def knndd_score(model: KnnddModel, Z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KpcaModel:
-    method = "kpca"
     X: np.ndarray
     spec: KernelSpec
     coeffs: np.ndarray       # (n, q), eigenvector l scaled by 1/sqrt(lambda_l)

@@ -24,7 +24,7 @@ from .dataset import (
     make_synthetic,
     write_csv,
 )
-from .kernel import KernelSpec, median_pairwise_distance
+from .kernel import KernelSpec, _resolve_sigma
 from .model import (
     ModelFormatError,
     calibrate_threshold,
@@ -49,27 +49,36 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _sigma_arg(value: str):
-    if value == "median":
-        return "median"
+def _spec_value(field: str, value: str) -> float:
+    """A real that KernelSpec accepts as ``field``; anything else is a usage error."""
     try:
-        sigma = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"sigma must be 'median' or a real, got {value!r}")
-    if sigma <= 0:
-        raise argparse.ArgumentTypeError("sigma must be positive")
-    return sigma
+        real = float(value)
+        KernelSpec(**{field: real})
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return real
+
+
+def _sigma_arg(value: str):
+    return "median" if value == "median" else _spec_value("sigma", value)
+
+
+def _delta_arg(value: str) -> float:
+    return _spec_value("delta", value)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ocksr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_kernel_flags(p):
+    def add_sigma_flag(p):
         p.add_argument("--sigma", type=_sigma_arg, default="median",
                        help="kernel bandwidth, or 'median' for the median "
                             "pairwise distance of the training targets")
-        p.add_argument("--delta", type=float, default=0.0,
+
+    def add_kernel_flags(p):
+        add_sigma_flag(p)
+        p.add_argument("--delta", type=_delta_arg, default=0.0,
                        help="diagonal regularizer (escalated automatically on "
                             "numerically singular systems)")
 
@@ -129,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=None,
                    help="neighborhood parameter (default: sweep 3..10)")
-    add_kernel_flags(p)
+    add_sigma_flag(p)
     add_normalize_flag(p)
     p.add_argument("--out", default=None, help="optional JSON report path")
 
@@ -144,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=None,
                    help="neighborhood parameter (default: sweep 3..10)")
-    add_kernel_flags(p)
+    add_sigma_flag(p)
     add_normalize_flag(p)
     p.add_argument("--out", required=True,
                    help="report prefix: writes PREFIX.csv, PREFIX_ranks.csv, PREFIX.json")
@@ -154,11 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_normalized(path: str, label_col: int, no_normalize: bool) -> Dataset:
     ds = load_csv(path, label_col)
     return ds if no_normalize else l2_normalize(ds)
-
-
-def _resolve_spec(sigma, delta: float, X_pos: np.ndarray) -> KernelSpec:
-    value = median_pairwise_distance(X_pos) if sigma == "median" else float(sigma)
-    return KernelSpec(sigma=value, delta=delta)
 
 
 def _cmd_synth(args) -> int:
@@ -180,12 +184,9 @@ def _cmd_train(args) -> int:
             raise DataFormatError(
                 "appending accepts positive rows only; negatives require a refit")
         model = fit_incremental(load_model(args.append), pos)
-    elif args.negatives:
-        spec = _resolve_spec(args.sigma, args.delta, pos)
-        model = fit_supervised(pos, neg, spec)
     else:
-        spec = _resolve_spec(args.sigma, args.delta, pos)
-        model = fit(pos, spec)
+        spec = KernelSpec(sigma=_resolve_sigma(args.sigma, pos), delta=args.delta)
+        model = fit_supervised(pos, neg, spec) if args.negatives else fit(pos, spec)
 
     save_model(model, args.out)
     # (K + delta I) alpha = nu, so the training projections K alpha are
@@ -248,7 +249,7 @@ def _cmd_calibrate(args) -> int:
         spec = model.spec
     else:
         model = None
-        spec = _resolve_spec(args.sigma, args.delta, pos)
+        spec = KernelSpec(sigma=_resolve_sigma(args.sigma, pos), delta=args.delta)
     tau = calibrate_threshold(pos, spec, args.rejection)
     print(f"tau={tau:.12g}")
     if model is not None:
@@ -265,7 +266,7 @@ def _cmd_eval(args) -> int:
         sigma=args.sigma, fixed_k=args.k)
     cell = report.cells[ds.name][args.method]
     if cell.error is not None:
-        raise RuntimeError(cell.error)
+        raise cell.error
     param = f" k={cell.param}" if cell.param is not None else ""
     print(f"{args.method}{param}: mean_auc={cell.mean:.6f} std={cell.std:.6f} "
           f"({args.repeats} repeats, seed {args.seed})")

@@ -100,7 +100,7 @@ def _parse_csv(path: str) -> tuple[np.ndarray, list[list[str]], int]:
     return np.array(out, dtype=np.float64).reshape(len(out), width), rows, start + 1
 
 
-def load_csv(path: str, label_column: int, name: str | None = None) -> Dataset:
+def load_csv(path: str, label_column: int) -> Dataset:
     """Load a labeled dataset from a CSV file.
 
     One optional header row is permitted and detected by a non-numeric
@@ -109,9 +109,8 @@ def load_csv(path: str, label_column: int, name: str | None = None) -> Dataset:
     columns to finite reals.
 
     Args:
-        path: CSV file path.
+        path: CSV file path; it also names the dataset.
         label_column: 0-based index of the label column.
-        name: dataset name; defaults to the file path.
 
     Raises:
         DataFormatError: empty file, ragged rows, non-numeric features,
@@ -132,7 +131,7 @@ def load_csv(path: str, label_column: int, name: str | None = None) -> Dataset:
             f"{first_line + r} (must be 0 or 1)"
         )
     return Dataset(np.delete(M, label_column, axis=1), labels.astype(np.int64),
-                   name=name or path)
+                   name=path)
 
 
 def load_features_csv(path: str) -> np.ndarray:

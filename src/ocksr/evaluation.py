@@ -16,12 +16,13 @@ from scipy.special import gammaincc
 
 from . import baselines, model as ocksr_model
 from .dataset import Dataset, random_split
-from .kernel import KernelSpec, median_pairwise_distance
-
-SCORER_NAMES = ("ocksr", "kmeans", "knndd", "kpca")
+from .kernel import KernelSpec, _resolve_sigma
 
 # Neighborhood sizes swept for the scorers that take one.
 NEIGHBORHOOD_RANGE = tuple(range(3, 11))
+
+# Share of the target rows that each seeded split trains on.
+TRAIN_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -85,15 +86,13 @@ class OcksrScorer:
 
     name = "ocksr"
 
-    def __init__(self, sigma: float | str = "median", delta: float = 0.0):
+    def __init__(self, sigma: float | str = "median"):
         self.sigma = sigma
-        self.delta = delta
         self._model: ocksr_model.Model | None = None
 
     def fit(self, X: np.ndarray) -> "OcksrScorer":
-        sigma = (median_pairwise_distance(X) if self.sigma == "median"
-                 else float(self.sigma))
-        self._model = ocksr_model.fit(X, KernelSpec(sigma=sigma, delta=self.delta))
+        spec = KernelSpec(sigma=_resolve_sigma(self.sigma, X))
+        self._model = ocksr_model.fit(X, spec)
         return self
 
     def novelty(self, Z: np.ndarray) -> np.ndarray:
@@ -104,13 +103,12 @@ class OcksrScorer:
 class KMeansScorer:
     name = "kmeans"
 
-    def __init__(self, k: int = 5, seed: int = 0):
+    def __init__(self, k: int = 5):
         self.k = k
-        self.seed = seed
         self._model: baselines.KMeansModel | None = None
 
     def fit(self, X: np.ndarray) -> "KMeansScorer":
-        self._model = baselines.kmeans_fit(X, min(self.k, X.shape[0]), self.seed)
+        self._model = baselines.kmeans_fit(X, min(self.k, X.shape[0]), seed=0)
         return self
 
     def novelty(self, Z: np.ndarray) -> np.ndarray:
@@ -137,22 +135,19 @@ class KnnddScorer:
 class KpcaScorer:
     """Kernel PCA reconstruction residual scorer.
 
-    q defaults to the smallest component count capturing 95 percent of
-    the centered spectrum of each training set.
+    Each fit keeps the smallest component count capturing 95 percent of
+    the centered spectrum of its training set.
     """
 
     name = "kpca"
 
-    def __init__(self, sigma: float | str = "median", q: int | None = None):
+    def __init__(self, sigma: float | str = "median"):
         self.sigma = sigma
-        self.q = q
         self._model: baselines.KpcaModel | None = None
 
     def fit(self, X: np.ndarray) -> "KpcaScorer":
-        sigma = (median_pairwise_distance(X) if self.sigma == "median"
-                 else float(self.sigma))
-        q = None if self.q is None else min(max(self.q, 1), X.shape[0] - 1)
-        self._model = baselines.kpca_fit(X, KernelSpec(sigma=sigma), q)
+        spec = KernelSpec(sigma=_resolve_sigma(self.sigma, X))
+        self._model = baselines.kpca_fit(X, spec)
         return self
 
     def novelty(self, Z: np.ndarray) -> np.ndarray:
@@ -160,17 +155,20 @@ class KpcaScorer:
         return baselines.kpca_score(self._model, Z)
 
 
+_SCORERS = {
+    "ocksr": OcksrScorer,
+    "kmeans": KMeansScorer,
+    "knndd": KnnddScorer,
+    "kpca": KpcaScorer,
+}
+SCORER_NAMES = tuple(_SCORERS)
+
+
 def make_scorer(name: str, **params):
     """Construct a scorer by name: ocksr, kmeans, knndd, or kpca."""
-    table = {
-        "ocksr": OcksrScorer,
-        "kmeans": KMeansScorer,
-        "knndd": KnnddScorer,
-        "kpca": KpcaScorer,
-    }
-    if name not in table:
+    if name not in _SCORERS:
         raise ValueError(f"unknown method {name!r} (choose from {SCORER_NAMES})")
-    return table[name](**params)
+    return _SCORERS[name](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +180,13 @@ def repeated_aucs(
     scorers,
     repeats: int,
     base_seed: int,
-    train_fraction: float = 0.5,
 ) -> np.ndarray:
     """AUC table, one row per scorer and one column per seeded repeat.
 
-    Repeat r draws one split with seed base_seed + r; every scorer fits
-    on its train targets and scores its test rows.  Any split or fit
-    failure is re-raised with the repeat index attached.
+    Repeat r draws one split with seed base_seed + r, training on
+    ``TRAIN_FRACTION`` of the targets; every scorer fits on its train
+    targets and scores its test rows.  Any split or fit failure is
+    re-raised with the repeat index attached.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -196,7 +194,7 @@ def repeated_aucs(
     for r in range(repeats):
         seed = base_seed + r
         try:
-            train, test = random_split(dataset, train_fraction, seed)
+            train, test = random_split(dataset, TRAIN_FRACTION, seed)
             targets = train.targets()
             for i, scorer in enumerate(scorers):
                 scored = ScoredSet(scorer.fit(targets).novelty(test.X), test.labels)
@@ -216,7 +214,6 @@ def best_neighborhood(
     repeats: int,
     base_seed: int,
     ks=NEIGHBORHOOD_RANGE,
-    train_fraction: float = 0.5,
 ) -> tuple[int, np.ndarray]:
     """Sweep the neighborhood parameter and keep the best mean AUC.
 
@@ -226,7 +223,7 @@ def best_neighborhood(
     """
     ks = [int(k) for k in ks]
     table = repeated_aucs(dataset, [make_scorer(name, k=k) for k in ks],
-                          repeats, base_seed, train_fraction)
+                          repeats, base_seed)
     best = int(np.nanargmax(table.mean(axis=1)))
     return ks[best], table[best]
 
@@ -293,7 +290,7 @@ class BenchCell:
     std: float | None = None
     param: int | None = None
     aucs: list[float] = field(default_factory=list)
-    error: str | None = None
+    error: Exception | None = None
 
 
 @dataclass
@@ -315,20 +312,18 @@ def bench_run(
     methods: list[str],
     repeats: int,
     base_seed: int,
-    train_fraction: float = 0.5,
     sigma: float | str = "median",
     fixed_k: int | None = None,
 ) -> BenchReport:
     """Evaluate every method on every dataset and aggregate Friedman ranks.
 
     Neighborhood methods sweep k over [3, 10] unless ``fixed_k`` pins it.
-    A failing (dataset, method) cell is recorded as missing with its
-    error message; datasets with missing cells are excluded from the
-    rank aggregation with a warning.
+    A failing (dataset, method) cell is recorded as missing with the
+    exception that failed it; datasets with missing cells are excluded
+    from the rank aggregation with a warning.
     """
     for name in methods:
-        if name not in SCORER_NAMES:
-            raise ValueError(f"unknown method {name!r} (choose from {SCORER_NAMES})")
+        make_scorer(name)  # an unknown name raises before any cell runs
     cells: dict[str, dict[str, BenchCell]] = {}
     for ds in datasets:
         row: dict[str, BenchCell] = {}
@@ -337,15 +332,15 @@ def bench_run(
             try:
                 if name in ("kmeans", "knndd"):
                     ks = NEIGHBORHOOD_RANGE if fixed_k is None else (fixed_k,)
-                    cell.param, aucs = best_neighborhood(ds, name, repeats, base_seed,
-                                                         ks, train_fraction)
+                    cell.param, aucs = best_neighborhood(ds, name, repeats,
+                                                         base_seed, ks)
                 else:
                     aucs = repeated_aucs(ds, [make_scorer(name, sigma=sigma)],
-                                         repeats, base_seed, train_fraction)[0]
+                                         repeats, base_seed)[0]
                 cell.aucs = [float(a) for a in aucs]
                 cell.mean, cell.std = _mean_std(aucs)
             except Exception as exc:
-                cell.error = str(exc)
+                cell.error = exc
                 warnings.warn(
                     f"cell ({ds.name}, {name}) failed and is recorded as missing: {exc}",
                     stacklevel=2,
@@ -417,7 +412,7 @@ def write_bench_json(report: BenchReport, path: str) -> None:
         "cells": {
             ds: {
                 m: (
-                    {"error": cell.error}
+                    {"error": str(cell.error)}
                     if cell.error is not None
                     else {
                         "mean": cell.mean,

@@ -8,24 +8,19 @@ import numpy as np
 from scipy.linalg.blas import dgemm, dgemv, dsyrk
 from scipy.spatial.distance import pdist
 
-_FAMILIES = ("rbf",)
-
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus its bandwidth sigma and diagonal regularizer delta."""
+    """Gaussian kernel bandwidth sigma plus the diagonal regularizer delta."""
 
-    family: str = "rbf"
     sigma: float = 1.0
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}")
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError("sigma must be a positive real")
         if not (np.isfinite(self.delta) and self.delta >= 0):
-            raise ValueError("delta must be nonnegative")
+            raise ValueError("delta must be a nonnegative real")
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -122,3 +117,8 @@ def median_pairwise_distance(X) -> float:
         return 1.0
     med = float(np.median(pdist(X)))
     return med if med > 0.0 else 1.0
+
+
+def _resolve_sigma(sigma: float | str, X) -> float:
+    """sigma as a real: the literal "median" means ``median_pairwise_distance(X)``."""
+    return median_pairwise_distance(X) if sigma == "median" else float(sigma)

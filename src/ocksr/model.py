@@ -38,8 +38,8 @@ DELTA_LADDER = (1e-8, 1e-6)
 TARGET_MEAN = 1.0
 
 _MAGIC = b"OCKSR1"
-_FAMILY_CODES = {"rbf": 1}
-_FAMILY_NAMES = {code: fam for fam, code in _FAMILY_CODES.items()}
+# The header's kernel family byte; the Gaussian kernel is the only family.
+_RBF_CODE = 1
 
 
 class Decision(Enum):
@@ -341,7 +341,7 @@ def save_model(model: Model, path: str) -> None:
     flags = 1 if model.tau is not None else 0
     header = struct.pack(
         "<6sBB d d QQQ",
-        _MAGIC, _FAMILY_CODES[model.spec.family], flags,
+        _MAGIC, _RBF_CODE, flags,
         model.spec.sigma, model.spec.delta,
         model.n, model.n_neg, model.d,
     )
@@ -376,10 +376,10 @@ def load_model(path: str) -> Model:
         head_fmt, blob)
     if magic != _MAGIC:
         raise ModelFormatError(f"{path}: bad magic {magic!r}")
-    if family_code not in _FAMILY_NAMES:
+    if family_code != _RBF_CODE:
         raise ModelFormatError(f"{path}: unknown kernel family code {family_code}")
     try:
-        spec = KernelSpec(family=_FAMILY_NAMES[family_code], sigma=sigma, delta=delta)
+        spec = KernelSpec(sigma=sigma, delta=delta)
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
     if n < 1 or n_neg > n:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ocksr.baselines as baselines
 import ocksr.cli as cli
 import ocksr.model as model_module
 from ocksr.baselines import EigenSolverDidNotConverge
@@ -30,11 +31,33 @@ def _synth_csv(tmp_path, name="data.csv", n_pos=30, n_neg=20, d=5, sep=4.0, seed
     return path, ds
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_package_exports():
     import ocksr
 
     assert ocksr.__version__
-    assert callable(ocksr.fit) and callable(ocksr.roc_auc)
+    # the names README documents at top level; the rest stay in their modules
+    assert sorted(ocksr.__all__) == [
+        "DataFormatError", "Dataset", "Decision", "KernelSpec", "ModelFormatError",
+        "NotPositiveDefinite", "bench_run", "calibrate_threshold", "classify", "fit",
+        "fit_incremental", "fit_supervised", "load_model", "median_pairwise_distance",
+        "save_model", "score", "score_batch",
+    ]
+    for name in ocksr.__all__:
+        assert getattr(ocksr, name).__module__.startswith("ocksr."), name
+
+
+def test_readme_quick_start_runs():
+    from ocksr import Decision
+
+    text = README.read_text()
+    fence = "```python\n"
+    start = text.index(fence, text.index("## Quick start")) + len(fence)
+    scope = {}
+    exec(compile(text[start:text.index("```", start)], str(README), "exec"), scope)
+    assert isinstance(scope["decision"], Decision)
 
 
 def test_synth_writes_loadable_csv(tmp_path, capsys):
@@ -231,6 +254,7 @@ def test_non_finite_model_file_exit_2(tmp_path, capsys, bad):
     ("<d", 8, np.nan), ("<d", 8, 0.0), ("<d", 8, -1.0),  # sigma
     ("<d", 16, -1e-8),  # delta
     ("<Q", 32, 16),  # n_neg, above n = 15
+    ("<B", 6, 2),  # kernel family: only the Gaussian kernel, code 1, exists
 ])
 def test_bad_model_header_exit_2(tmp_path, capsys, fmt, offset, value):
     data, ds = _synth_csv(tmp_path, n_pos=15, n_neg=0, seed=8)
@@ -364,9 +388,16 @@ def test_bench_deterministic_outputs(tmp_path, capsys):
 
 
 def test_usage_error_exit_1():
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--data", "x.csv"])  # missing required flags
-    assert exc.value.code == 1
+    for argv in [
+        ["train", "--data", "x.csv"],  # missing required flags
+        # delta is a training setting: eval and bench take none
+        ["eval", "--data", "x.csv", "--label-col", "0", "--delta", "0.5"],
+        ["bench", "--data", "x.csv", "--label-col", "0", "--method", "ocksr",
+         "--out", "r", "--delta", "0.5"],
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
 
 
 def test_unknown_command_exit_1():
@@ -376,10 +407,12 @@ def test_unknown_command_exit_1():
 
 
 def test_bad_sigma_exit_1(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--data", "d.csv", "--label-col", "0",
-              "--out", str(tmp_path / "m.bin"), "--sigma", "-2"])
-    assert exc.value.code == 1
+    for flag, value in [("--sigma", "-2"), ("--sigma", "nan"), ("--sigma", "inf"),
+                        ("--delta", "-1"), ("--delta", "nan")]:
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", "d.csv", "--label-col", "0",
+                  "--out", str(tmp_path / "m.bin"), flag, value])
+        assert exc.value.code == 1, (flag, value)
 
 
 def test_missing_file_exit_2(tmp_path, capsys):
@@ -430,11 +463,19 @@ def test_calibrate_numerical_failure_exit_3(tmp_path, monkeypatch, capsys):
 
 
 def test_eigen_failure_exit_3(tmp_path, monkeypatch, capsys):
+    # the failure is raised inside a repeat, as a real one would be
     data, _ = _synth_csv(tmp_path, n_pos=30, n_neg=30)
+    for method, module, name, exc in [
+            ("kpca", baselines, "kpca_fit", EigenSolverDidNotConverge("stalled")),
+            ("ocksr", model_module, "factor_batch", NotPositiveDefinite(3))]:
 
-    def boom(*args, **kwargs):
-        raise EigenSolverDidNotConverge("stalled")
+        def boom(*args, exc=exc, **kwargs):
+            raise exc
 
-    monkeypatch.setattr(cli.evaluation, "bench_run", boom)
-    rc = main(["eval", "--data", data, "--label-col", "0", "--method", "kpca"])
-    assert rc == 3
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, boom)
+            with pytest.warns(UserWarning):
+                rc = main(["eval", "--data", data, "--label-col", "0",
+                           "--method", method, "--repeats", "2"])
+        assert rc == 3, method
+        assert "numerical failure: repeat 0 (seed 0) failed" in capsys.readouterr().err

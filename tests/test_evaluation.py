@@ -182,7 +182,7 @@ def test_best_neighborhood_tie_breaks_to_smallest_k(monkeypatch):
     ds = make_synthetic(20, 20, 3, 5.0, seed=4)
     recorded = []
 
-    def flat(dataset, scorers, repeats, base_seed, train_fraction=0.5):
+    def flat(dataset, scorers, repeats, base_seed):
         recorded.extend(scorer.k for scorer in scorers)
         return np.full((len(scorers), repeats), 0.75)
 
@@ -199,7 +199,7 @@ def test_best_neighborhood_real_sweep():
     assert k in NEIGHBORHOOD_RANGE and aucs.shape == (2,)
 
 
-def _per_k_sweep(dataset, name, repeats, base_seed, ks, train_fraction=0.5):
+def _per_k_sweep(dataset, name, repeats, base_seed, ks):
     # reference: a fresh split, fit and AUC for every k and every repeat,
     # keeping the first k whose mean beats every earlier one
     best_k, best_aucs, best_mean = None, None, -np.inf
@@ -207,7 +207,7 @@ def _per_k_sweep(dataset, name, repeats, base_seed, ks, train_fraction=0.5):
         scorer = make_scorer(name, k=k)
         aucs = np.empty(repeats)
         for r in range(repeats):
-            train, test = random_split(dataset, train_fraction, base_seed + r)
+            train, test = random_split(dataset, ev.TRAIN_FRACTION, base_seed + r)
             scored = ScoredSet(scorer.fit(train.targets()).novelty(test.X),
                                test.labels)
             aucs[r] = roc_auc(scored)
@@ -220,9 +220,8 @@ def _per_k_sweep(dataset, name, repeats, base_seed, ks, train_fraction=0.5):
 @pytest.mark.parametrize("ks", [NEIGHBORHOOD_RANGE, (4,)])
 def test_best_neighborhood_matches_per_k_sweep(name, ks):
     ds = make_synthetic(30, 30, 4, 2.0, seed=22)
-    k, aucs = best_neighborhood(ds, name, repeats=4, base_seed=3, ks=ks,
-                                train_fraction=0.6)
-    ref_k, ref_aucs = _per_k_sweep(ds, name, 4, 3, ks, train_fraction=0.6)
+    k, aucs = best_neighborhood(ds, name, repeats=4, base_seed=3, ks=ks)
+    ref_k, ref_aucs = _per_k_sweep(ds, name, 4, 3, ks)
     assert k == ref_k
     np.testing.assert_array_equal(aucs, ref_aucs)
 
@@ -231,7 +230,7 @@ def test_best_neighborhood_first_maximal_mean_wins(monkeypatch):
     ds = make_synthetic(20, 20, 3, 5.0, seed=4)
     means = [np.nan, 0.6, 0.8, 0.7, 0.8, np.nan, 0.5, 0.8]
 
-    def table(dataset, scorers, repeats, base_seed, train_fraction=0.5):
+    def table(dataset, scorers, repeats, base_seed):
         return np.array(means)[:, None] * np.ones((len(scorers), repeats))
 
     monkeypatch.setattr(ev, "repeated_aucs", table)
@@ -355,10 +354,10 @@ def test_bench_run_failed_cell_recorded(monkeypatch):
     ds = make_synthetic(16, 16, 3, 4.0, seed=12)
     real = ev.repeated_aucs
 
-    def flaky(dataset, scorers, repeats, base_seed, train_fraction=0.5):
+    def flaky(dataset, scorers, repeats, base_seed):
         if any(getattr(scorer, "name", "") == "knndd" for scorer in scorers):
             raise RuntimeError("synthetic failure")
-        return real(dataset, scorers, repeats, base_seed, train_fraction)
+        return real(dataset, scorers, repeats, base_seed)
 
     monkeypatch.setattr(ev, "repeated_aucs", flaky)
     with pytest.warns(UserWarning) as record:

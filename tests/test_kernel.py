@@ -18,8 +18,6 @@ def kernel_eval(x, y, spec: KernelSpec) -> float:
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        KernelSpec(family="poly")
-    with pytest.raises(ValueError):
         KernelSpec(sigma=0.0)
     with pytest.raises(ValueError):
         KernelSpec(delta=-1e-9)

@@ -520,7 +520,7 @@ def test_load_rejects_non_finite_values(tmp_path, where, bad):
 @pytest.mark.parametrize("field,value,message", [
     ("sigma", np.nan, "sigma"), ("sigma", 0.0, "sigma"), ("sigma", -1.0, "sigma"),
     ("delta", -1e-8, "delta"), ("n_neg", 6, "6 of them negative"),
-    ("n", 0, "0 rows"),
+    ("n", 0, "0 rows"), ("family", 2, "unknown kernel family code 2"),
 ])
 def test_load_rejects_bad_header_fields(tmp_path, field, value, message):
     m = fit(np.random.default_rng(25).standard_normal((5, 2)),
@@ -531,7 +531,7 @@ def test_load_rejects_bad_header_fields(tmp_path, field, value, message):
     if field == "n":  # a header with no rows, and so no payload
         del blob[48:]
     fmt, offset = {"sigma": ("<d", 8), "delta": ("<d", 16), "n": ("<Q", 24),
-                   "n_neg": ("<Q", 32)}[field]
+                   "n_neg": ("<Q", 32), "family": ("<B", 6)}[field]
     struct.pack_into(fmt, blob, offset, value)
     path.write_bytes(bytes(blob))
     with pytest.raises(ModelFormatError, match=message) as exc:
