@@ -27,6 +27,8 @@ from .dataset import (
 from .kernel import KernelSpec, _resolve_sigma
 from .model import (
     ModelFormatError,
+    _check_rejection,
+    _check_tau,
     calibrate_threshold,
     fit,
     fit_incremental,
@@ -49,22 +51,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _spec_value(field: str, value: str) -> float:
-    """A real that KernelSpec accepts as ``field``; anything else is a usage error."""
-    try:
-        real = float(value)
-        KernelSpec(**{field: real})
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return real
+def _checked(check):
+    """argparse type: a real that passes the library's ``check``, or a usage error."""
+    def parse(value: str) -> float:
+        try:
+            return check(float(value))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+_delta_arg = _checked(lambda v: KernelSpec(delta=v).delta)
+_sigma_real = _checked(lambda v: KernelSpec(sigma=v).sigma)
 
 
 def _sigma_arg(value: str):
-    return "median" if value == "median" else _spec_value("sigma", value)
-
-
-def _delta_arg(value: str) -> float:
-    return _spec_value("delta", value)
+    return "median" if value == "median" else _sigma_real(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--label-col", type=int, default=None,
                    help="label column to drop if the probe file is labeled")
-    p.add_argument("--tau", type=float, default=None,
+    p.add_argument("--tau", type=_checked(_check_tau), default=None,
                    help="decision threshold (defaults to the one stored in the model)")
     add_normalize_flag(p)
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
@@ -120,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="choose a novelty threshold by leave-one-out scoring")
     p.add_argument("--data", required=True)
     p.add_argument("--label-col", type=int, required=True)
-    p.add_argument("--rejection", type=float, required=True,
+    p.add_argument("--rejection", type=_checked(_check_rejection), required=True,
                    help="desired training rejection rate in [0, 1)")
     add_kernel_flags(p)
     add_normalize_flag(p)

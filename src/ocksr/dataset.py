@@ -71,8 +71,9 @@ def _parse_float(token: str) -> float | None:
 def _parse_csv(path: str) -> tuple[np.ndarray, list[list[str]], int]:
     """Parse a numeric CSV file with an optional header row.
 
-    Returns the matrix, the data rows as read, and the line number of
-    the first data row, so callers can point at the offending field.
+    Every value must parse to a finite real.  Returns the matrix, the
+    data rows as read, and the line number of the first data row, so
+    callers can point at the offending field.
     """
     try:
         with open(path, newline="") as fh:
@@ -97,7 +98,15 @@ def _parse_csv(path: str) -> tuple[np.ndarray, list[list[str]], int]:
                 f"{path}: non-numeric value {row[j]!r} at line {i}, column {j}"
             )
         out.append(parsed)
-    return np.array(out, dtype=np.float64).reshape(len(out), width), rows, start + 1
+    M = np.array(out, dtype=np.float64).reshape(len(out), width)
+    finite = np.isfinite(M)
+    if not finite.all():
+        r, j = np.argwhere(~finite)[0]
+        raise DataFormatError(
+            f"{path}: non-finite value {rows[r][j]!r} at line {start + 1 + r}, "
+            f"column {j}"
+        )
+    return M, rows, start + 1
 
 
 def load_csv(path: str, label_column: int) -> Dataset:
@@ -113,8 +122,8 @@ def load_csv(path: str, label_column: int) -> Dataset:
         label_column: 0-based index of the label column.
 
     Raises:
-        DataFormatError: empty file, ragged rows, non-numeric features,
-            or labels outside {0, 1}.
+        DataFormatError: empty file, ragged rows, non-numeric or
+            non-finite values, or labels outside {0, 1}.
     """
     M, rows, first_line = _parse_csv(path)
     width = M.shape[1]

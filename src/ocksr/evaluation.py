@@ -25,24 +25,6 @@ NEIGHBORHOOD_RANGE = tuple(range(3, 11))
 TRAIN_FRACTION = 0.5
 
 
-@dataclass(frozen=True)
-class ScoredSet:
-    """Novelty scores with ground-truth labels (1 = target, 0 = outlier)."""
-
-    scores: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=np.float64).ravel()
-        labels = np.asarray(self.labels, dtype=np.int64).ravel()
-        if scores.shape[0] != labels.shape[0]:
-            raise ValueError("scores and labels must have equal length")
-        if labels.size and not np.isin(labels, (0, 1)).all():
-            raise ValueError("labels must lie in {0, 1}")
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "labels", labels)
-
-
 def _average_ranks(values) -> np.ndarray:
     """1-based ranks of ``values``, ties given their average rank.
 
@@ -58,17 +40,23 @@ def _average_ranks(values) -> np.ndarray:
     return (first + past + 1) / 2.0
 
 
-def roc_auc(scored: ScoredSet) -> float:
+def roc_auc(scores, labels) -> float:
     """Mann-Whitney AUC of outlier-over-target score orderings.
 
-    Computed from average ranks, so tied scores contribute one half.
+    ``labels`` marks each score 1 (target) or 0 (outlier).  Computed
+    from average ranks, so tied scores contribute one half.
     """
-    labels = scored.labels
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    if scores.shape[0] != labels.shape[0]:
+        raise ValueError("scores and labels must have equal length")
+    if labels.size and not np.isin(labels, (0, 1)).all():
+        raise ValueError("labels must lie in {0, 1}")
     n_out = int((labels == 0).sum())
     n_tar = int((labels == 1).sum())
     if n_out == 0 or n_tar == 0:
         raise ValueError("AUC needs at least one target and one outlier")
-    ranks = _average_ranks(scored.scores)
+    ranks = _average_ranks(scores)
     numerator = float(ranks[labels == 0].sum()) - n_out * (n_out + 1) / 2.0
     return numerator / (n_out * n_tar)
 
@@ -197,15 +185,10 @@ def repeated_aucs(
             train, test = random_split(dataset, TRAIN_FRACTION, seed)
             targets = train.targets()
             for i, scorer in enumerate(scorers):
-                scored = ScoredSet(scorer.fit(targets).novelty(test.X), test.labels)
-                out[i, r] = roc_auc(scored)
+                out[i, r] = roc_auc(scorer.fit(targets).novelty(test.X), test.labels)
         except Exception as exc:
             raise RuntimeError(f"repeat {r} (seed {seed}) failed: {exc}") from exc
     return out
-
-
-def _mean_std(aucs: np.ndarray) -> tuple[float, float]:
-    return float(aucs.mean()), (float(aucs.std(ddof=1)) if aucs.size > 1 else 0.0)
 
 
 def best_neighborhood(
@@ -232,52 +215,33 @@ def best_neighborhood(
 # rank aggregation
 
 
-def friedman_ranks(auc_table) -> np.ndarray:
-    """Average rank per method over datasets (rank 1 = highest AUC, ties averaged).
+@dataclass(frozen=True)
+class FriedmanResult:
+    ranks: np.ndarray  # (n_datasets, n_methods), rank 1 = highest AUC
+    average_ranks: np.ndarray
+    chi_square: float
+    p_value: float
 
-    Args:
-        auc_table: (n_datasets, n_methods) array of AUC values.
+
+def friedman_test(auc_table) -> FriedmanResult:
+    """Friedman ranks and chi-square over an (n_datasets, n_methods) AUC table.
+
+    Each dataset's methods are ranked, 1 for the highest AUC and ties
+    given their average rank.  The statistic has M - 1 degrees of
+    freedom; its p-value is the upper tail of the chi-square
+    distribution, evaluated through the regularized incomplete gamma
+    function.
     """
     table = np.atleast_2d(np.asarray(auc_table, dtype=np.float64))
     if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 2:
         raise ValueError("need at least 1 dataset and 2 methods")
     ranks = np.vstack([_average_ranks(-row) for row in table])
-    return ranks.mean(axis=0)
-
-
-@dataclass(frozen=True)
-class FriedmanResult:
-    average_ranks: np.ndarray
-    chi_square: float
-    p_value: float
-    n_datasets: int
-    n_methods: int
-
-
-def friedman_test(auc_table) -> FriedmanResult:
-    """Friedman chi-square over the rank table, with M - 1 degrees of freedom.
-
-    The p-value is the upper tail of the chi-square distribution,
-    evaluated through the regularized incomplete gamma function.
-    """
-    table = np.atleast_2d(np.asarray(auc_table, dtype=np.float64))
-    avg = friedman_ranks(table)
+    avg = ranks.mean(axis=0)
     n, m = table.shape
-    chi2 = _chi_square_from_ranks(avg, n)
-    return FriedmanResult(avg, chi2, _chi_square_p_value(chi2, m - 1), n, m)
-
-
-def _chi_square_from_ranks(average_ranks, n_datasets: int) -> float:
-    """Friedman statistic from per-method average ranks over n_datasets blocks."""
-    avg = np.asarray(average_ranks, dtype=np.float64)
-    m = avg.shape[0]
-    return float(12.0 * n_datasets / (m * (m + 1))
+    chi2 = float(12.0 * n / (m * (m + 1))
                  * ((avg**2).sum() - m * (m + 1) ** 2 / 4.0))
-
-
-def _chi_square_p_value(chi2: float, dof: int) -> float:
-    """Upper-tail chi-square probability via the regularized incomplete gamma."""
-    return float(gammaincc(dof / 2.0, chi2 / 2.0))
+    return FriedmanResult(ranks, avg, chi2,
+                          float(gammaincc((m - 1) / 2.0, chi2 / 2.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +283,8 @@ def bench_run(
 
     Neighborhood methods sweep k over [3, 10] unless ``fixed_k`` pins it.
     A failing (dataset, method) cell is recorded as missing with the
-    exception that failed it; datasets with missing cells are excluded
-    from the rank aggregation with a warning.
+    exception that failed it.  With two or more methods, datasets with
+    missing cells are excluded from the rank aggregation with a warning.
     """
     for name in methods:
         make_scorer(name)  # an unknown name raises before any cell runs
@@ -338,7 +302,8 @@ def bench_run(
                     aucs = repeated_aucs(ds, [make_scorer(name, sigma=sigma)],
                                          repeats, base_seed)[0]
                 cell.aucs = [float(a) for a in aucs]
-                cell.mean, cell.std = _mean_std(aucs)
+                cell.mean = float(aucs.mean())
+                cell.std = float(aucs.std(ddof=1)) if aucs.size > 1 else 0.0
             except Exception as exc:
                 cell.error = exc
                 warnings.warn(
@@ -350,20 +315,20 @@ def bench_run(
 
     report = BenchReport([d.name for d in datasets], list(methods), repeats,
                          base_seed, cells)
+    if len(methods) < 2:
+        return report  # one method is never ranked
     complete = [d.name for d in datasets
                 if all(cells[d.name][m].error is None for m in methods)]
     skipped = [name for name in report.datasets if name not in complete]
     if skipped:
         warnings.warn(f"datasets excluded from ranking: {skipped}", stacklevel=2)
-    if complete and len(methods) >= 2:
-        table = np.array([[cells[d][m].mean for m in methods] for d in complete])
-        result = friedman_test(table)
+    if complete:
+        result = friedman_test([[cells[d][m].mean for m in methods] for d in complete])
         report.average_ranks = dict(zip(methods, result.average_ranks.tolist()))
         report.chi_square = result.chi_square
         report.p_value = result.p_value
         report.ranked_datasets = complete
-        for i, d in enumerate(complete):
-            row_ranks = _average_ranks(-table[i])
+        for d, row_ranks in zip(complete, result.ranks):
             report.per_dataset_ranks[d] = dict(zip(methods, row_ranks.tolist()))
     return report
 

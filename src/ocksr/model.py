@@ -258,11 +258,25 @@ def score(model: Model, z) -> tuple[float, float]:
     return float(projections[0]), float(novelties[0])
 
 
+def _check_tau(tau: float) -> float:
+    """A novelty threshold as a float: finite and nonnegative, or ValueError."""
+    tau = float(tau)
+    if not 0.0 <= tau < np.inf:
+        raise ValueError("tau must be a nonnegative real")
+    return tau
+
+
+def _check_rejection(rate: float) -> float:
+    """A training rejection rate as a float in [0, 1), or ValueError."""
+    rate = float(rate)
+    if not 0.0 <= rate < 1.0:
+        raise ValueError("target_rejection must lie in [0, 1)")
+    return rate
+
+
 def classify(model: Model, z, tau: float) -> Decision:
     """Threshold the novelty of z at tau (inclusive: novelty == tau is TARGET)."""
-    tau = float(tau)
-    if not (np.isfinite(tau) and tau >= 0.0):
-        raise ValueError("tau must be a nonnegative real")
+    tau = _check_tau(tau)
     _, novelty = score(model, z)
     return Decision.TARGET if novelty <= tau else Decision.OUTLIER
 
@@ -309,8 +323,7 @@ def calibrate_threshold(X_pos, spec: KernelSpec, target_rejection: float) -> flo
     X = _as_rows(X_pos)
     if X.shape[0] < 3:
         raise ValueError("leave-one-out calibration needs at least 3 rows")
-    if not 0.0 <= target_rejection < 1.0:
-        raise ValueError("target_rejection must lie in [0, 1)")
+    target_rejection = _check_rejection(target_rejection)
     model = fit(X, spec)
     novelties = np.abs(model.alpha) / _inverse_diag(model.factor)
     return float(np.quantile(novelties, 1.0 - target_rejection))
@@ -363,8 +376,8 @@ def load_model(path: str) -> Model:
     Raises:
         ModelFormatError: bad magic, unknown family, a bandwidth or
             regularizer out of range, no rows or more negative rows than
-            rows, truncated payload, or non-finite rows, coefficients or
-            threshold.
+            rows, truncated payload, non-finite rows or coefficients, or
+            a negative or non-finite threshold.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -401,9 +414,9 @@ def load_model(path: str) -> Model:
     alpha = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).astype(
         np.float64)
     # the file is outside input: nothing downstream checks these again
-    if not (np.isfinite(X).all() and np.isfinite(alpha).all()
-            and (tau is None or np.isfinite(tau))):
-        raise ModelFormatError(
-            f"{path}: non-finite training rows, coefficients or threshold")
+    if not (np.isfinite(X).all() and np.isfinite(alpha).all()):
+        raise ModelFormatError(f"{path}: non-finite training rows or coefficients")
+    if tau is not None and not 0.0 <= tau < np.inf:
+        raise ModelFormatError(f"{path}: negative or non-finite threshold {tau!r}")
     nu = np.concatenate([np.ones(n - n_neg), np.zeros(n_neg)])
     return Model(X, alpha, nu, spec, n_neg=n_neg, tau=tau)

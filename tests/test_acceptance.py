@@ -18,10 +18,9 @@ from scipy.stats import rankdata
 from ocksr.cholesky import factor_batch, solve_upper
 from ocksr.dataset import l2_normalize, load_csv, make_synthetic, random_split
 from ocksr.evaluation import (
-    ScoredSet,
     OcksrScorer,
     best_neighborhood,
-    friedman_ranks,
+    friedman_test,
     repeated_aucs,
     roc_auc,
 )
@@ -162,7 +161,7 @@ def test_response_scale_invariance():
     for c in (1.0, 0.5, 3.0, -2.0):
         alpha_c = solve_spd(K, np.full(X.shape[0], c))
         novelty = np.abs(Kz @ alpha_c - c)
-        aucs[c] = roc_auc(ScoredSet(novelty, test.labels))
+        aucs[c] = roc_auc(novelty, test.labels)
     ok = all(aucs[c] == aucs[1.0] for c in (0.5, 3.0, -2.0))
     _report("response scale invariance", ok,
             f"AUC {aucs[1.0]:.6f} bit-identical across c in {{0.5, 3, -2}}"
@@ -181,7 +180,7 @@ def test_auc_agrees_with_pair_oracle():
         scores = rng.uniform(size=m)
         if i % 2:
             scores = np.round(scores, 1)  # heavy ties on half the sets
-        if roc_auc(ScoredSet(scores, labels)) != _pair_auc(scores, labels):
+        if roc_auc(scores, labels) != _pair_auc(scores, labels):
             mismatch = i
             break
     ok = mismatch is None
@@ -245,12 +244,15 @@ def test_friedman_hand_table():
     ])
     # per-dataset ranks: (1,2,3), (2.5,1,2.5), (2.5,2.5,1), (1,3,2)
     manual = np.array([1.75, 2.125, 2.125])
-    avg = friedman_ranks(table)
+    res = friedman_test(table)
+    avg = res.average_ranks
     sums_ok = all(rankdata(-row).sum() == 6.0 for row in table)
-    ok = bool(np.array_equal(avg, manual)) and sums_ok
+    rows_ok = np.array_equal(res.ranks, [[1, 2, 3], [2.5, 1, 2.5],
+                                         [2.5, 2.5, 1], [1, 3, 2]])
+    ok = bool(np.array_equal(avg, manual) and rows_ok) and sums_ok
     _report("friedman rank aggregation", ok,
             f"average ranks {avg.tolist()} == manual {manual.tolist()}, "
-            f"per-dataset rank sums all 6.0")
+            f"per-dataset ranks match the hand table, rank sums all 6.0")
 
 
 SONAR_ENV = "OCKSR_SONAR_CSV"

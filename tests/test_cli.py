@@ -255,12 +255,13 @@ def test_non_finite_model_file_exit_2(tmp_path, capsys, bad):
     ("<d", 16, -1e-8),  # delta
     ("<Q", 32, 16),  # n_neg, above n = 15
     ("<B", 6, 2),  # kernel family: only the Gaussian kernel, code 1, exists
+    ("<d", 48, -1.0), ("<d", 48, np.inf),  # stored threshold tau
 ])
 def test_bad_model_header_exit_2(tmp_path, capsys, fmt, offset, value):
     data, ds = _synth_csv(tmp_path, n_pos=15, n_neg=0, seed=8)
     model_path = tmp_path / "m.bin"
-    save_model(fit(l2_normalize(ds).targets(), KernelSpec(sigma=1.0, delta=1e-8)),
-               str(model_path))
+    m = fit(l2_normalize(ds).targets(), KernelSpec(sigma=1.0, delta=1e-8))
+    save_model(Model(m.X_train, m.alpha, m.nu, m.spec, tau=0.5), str(model_path))
     blob = bytearray(model_path.read_bytes())
     struct.pack_into(fmt, blob, offset, value)
     model_path.write_bytes(bytes(blob))
@@ -407,12 +408,44 @@ def test_unknown_command_exit_1():
 
 
 def test_bad_sigma_exit_1(tmp_path):
-    for flag, value in [("--sigma", "-2"), ("--sigma", "nan"), ("--sigma", "inf"),
-                        ("--delta", "-1"), ("--delta", "nan")]:
+    train = ["train", "--data", "d.csv", "--label-col", "0",
+             "--out", str(tmp_path / "m.bin")]
+    score = ["score", "--model", "m.bin", "--data", "d.csv"]
+    calibrate = ["calibrate", "--data", "d.csv", "--label-col", "0"]
+    for argv, flag, value in [
+        (train, "--sigma", "-2"), (train, "--sigma", "nan"), (train, "--sigma", "inf"),
+        (train, "--delta", "-1"), (train, "--delta", "nan"),
+        # classify's rule: a threshold is a finite nonnegative real
+        (score, "--tau", "nan"), (score, "--tau", "-1"), (score, "--tau", "inf"),
+        # calibrate_threshold's rule: a rejection rate lies in [0, 1)
+        (calibrate, "--rejection", "1.5"), (calibrate, "--rejection", "nan"),
+    ]:
         with pytest.raises(SystemExit) as exc:
-            main(["train", "--data", "d.csv", "--label-col", "0",
-                  "--out", str(tmp_path / "m.bin"), flag, value])
+            main(argv + [flag, value])
         assert exc.value.code == 1, (flag, value)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("labeled", [False, True])
+def test_non_finite_probe_exit_2(tmp_path, capsys, token, labeled):
+    _, ds = _synth_csv(tmp_path, n_pos=15, n_neg=0, seed=8)  # d = 5
+    model_path = str(tmp_path / "m.bin")
+    save_model(fit(l2_normalize(ds).targets(), KernelSpec(sigma=1.0)), model_path)
+    rows = ["0.5,0.25,0.5,0.25,0.5", f"0.5,0.25,{token},0.25,0.5"]
+    if labeled:
+        rows = ["1," + row for row in rows]
+    probes = tmp_path / "probes.csv"
+    probes.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "scores.csv"
+    argv = ["score", "--model", model_path, "--data", str(probes), "--out", str(out)]
+    if labeled:
+        argv += ["--label-col", "0"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    column = 3 if labeled else 2
+    assert (f"non-finite value {token!r} at line 2, column {column}"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_missing_file_exit_2(tmp_path, capsys):

@@ -78,6 +78,12 @@ def test_load_csv_errors_name_line_and_column(tmp_path):
         load_csv(p, label_column=0)
     with pytest.raises(DataFormatError, match="non-numeric value 'x' at line 3, column 2"):
         load_features_csv(str(tmp_path / "d.csv"))
+    # parsed, but not a finite real: the first such value is named
+    p = _write(tmp_path / "f.csv", "label,x0,x1\n1,0.5,2.0\n0,inf,1.0\n1,0.5,nan\n")
+    with pytest.raises(DataFormatError, match="non-finite value 'inf' at line 3, column 1"):
+        load_csv(p, label_column=0)
+    with pytest.raises(DataFormatError, match="non-finite value 'inf' at line 3, column 1"):
+        load_features_csv(p)
 
 
 def test_load_csv_missing_file(tmp_path):

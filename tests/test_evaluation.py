@@ -15,10 +15,8 @@ from ocksr.evaluation import (
     SCORER_NAMES,
     KpcaScorer,
     OcksrScorer,
-    ScoredSet,
     bench_run,
     best_neighborhood,
-    friedman_ranks,
     friedman_test,
     make_scorer,
     repeated_aucs,
@@ -47,24 +45,22 @@ def _pair_auc(scores, labels):
 
 
 def test_auc_perfect_separation():
-    s = ScoredSet(np.array([0.9, 0.8, 0.1, 0.2]), np.array([0, 0, 1, 1]))
-    assert roc_auc(s) == 1.0
+    assert roc_auc(np.array([0.9, 0.8, 0.1, 0.2]), np.array([0, 0, 1, 1])) == 1.0
 
 
 def test_auc_all_ties():
-    s = ScoredSet(np.ones(6), np.array([0, 0, 0, 1, 1, 1]))
-    assert roc_auc(s) == 0.5
+    assert roc_auc(np.ones(6), np.array([0, 0, 0, 1, 1, 1])) == 0.5
 
 
 def test_auc_four_point_case():
     scores = np.array([0.1, 0.4, 0.35, 0.8])
     labels = np.array([1, 1, 0, 0])
-    assert roc_auc(ScoredSet(scores, labels)) == _pair_auc(scores, labels) == 0.75
+    assert roc_auc(scores, labels) == _pair_auc(scores, labels) == 0.75
 
 
 def test_auc_single_class_rejected():
     with pytest.raises(ValueError):
-        roc_auc(ScoredSet(np.array([0.1, 0.2]), np.array([1, 1])))
+        roc_auc(np.array([0.1, 0.2]), np.array([1, 1]))
 
 
 @given(st.integers(0, 10**6), st.integers(1, 60), st.integers(1, 60), st.booleans())
@@ -76,7 +72,7 @@ def test_auc_equals_pair_oracle(seed, n_out, n_tar, quantize):
         scores = np.round(scores, 1)  # force plenty of ties
     labels = np.concatenate([np.zeros(n_out, np.int64), np.ones(n_tar, np.int64)])
     rng.shuffle(labels)
-    assert roc_auc(ScoredSet(scores, labels)) == _pair_auc(scores, labels)
+    assert roc_auc(scores, labels) == _pair_auc(scores, labels)
 
 
 @given(st.lists(st.one_of(st.integers(-3, 3).map(float),
@@ -101,25 +97,25 @@ def test_auc_invariant_under_monotone_transforms():
     scores = rng.uniform(0.0, 2.0, 50)
     labels = (rng.uniform(size=50) < 0.5).astype(np.int64)
     labels[:2] = [0, 1]
-    base = roc_auc(ScoredSet(scores, labels))
-    assert roc_auc(ScoredSet(np.exp(scores), labels)) == base
-    assert roc_auc(ScoredSet(3.0 * scores + 7.0, labels)) == base
+    base = roc_auc(scores, labels)
+    assert roc_auc(np.exp(scores), labels) == base
+    assert roc_auc(3.0 * scores + 7.0, labels) == base
 
 
 def test_auc_complement_symmetry():
     rng = np.random.default_rng(2)
     scores = rng.standard_normal(30)
     labels = np.array([0, 1] * 15)
-    base = roc_auc(ScoredSet(scores, labels))
-    assert roc_auc(ScoredSet(scores, 1 - labels)) == pytest.approx(1.0 - base, abs=1e-12)
-    assert roc_auc(ScoredSet(-scores, labels)) == pytest.approx(1.0 - base, abs=1e-12)
+    base = roc_auc(scores, labels)
+    assert roc_auc(scores, 1 - labels) == pytest.approx(1.0 - base, abs=1e-12)
+    assert roc_auc(-scores, labels) == pytest.approx(1.0 - base, abs=1e-12)
 
 
-def test_scored_set_validation():
-    with pytest.raises(ValueError):
-        ScoredSet(np.ones(3), np.ones(2))
-    with pytest.raises(ValueError):
-        ScoredSet(np.ones(2), np.array([1, 2]))
+def test_roc_auc_validation():
+    with pytest.raises(ValueError, match="equal length"):
+        roc_auc(np.ones(3), np.ones(2))
+    with pytest.raises(ValueError, match="lie in"):
+        roc_auc(np.ones(2), np.array([1, 2]))
 
 
 def test_make_scorer_names_and_unknown():
@@ -208,9 +204,8 @@ def _per_k_sweep(dataset, name, repeats, base_seed, ks):
         aucs = np.empty(repeats)
         for r in range(repeats):
             train, test = random_split(dataset, ev.TRAIN_FRACTION, base_seed + r)
-            scored = ScoredSet(scorer.fit(train.targets()).novelty(test.X),
-                               test.labels)
-            aucs[r] = roc_auc(scored)
+            aucs[r] = roc_auc(scorer.fit(train.targets()).novelty(test.X),
+                              test.labels)
         if aucs.mean() > best_mean:
             best_k, best_aucs, best_mean = k, aucs, float(aucs.mean())
     return best_k, best_aucs
@@ -267,11 +262,12 @@ def test_one_split_per_repeat(monkeypatch):
 
 def test_friedman_ranks_dominant_method():
     table = [[0.9, 0.8], [0.7, 0.6], [0.95, 0.5]]
-    np.testing.assert_array_equal(friedman_ranks(table), [1.0, 2.0])
+    np.testing.assert_array_equal(friedman_test(table).average_ranks, [1.0, 2.0])
 
 
 def test_friedman_ranks_tie_averaged():
-    np.testing.assert_array_equal(friedman_ranks([[0.8, 0.8]]), [1.5, 1.5])
+    np.testing.assert_array_equal(friedman_test([[0.8, 0.8]]).average_ranks,
+                                  [1.5, 1.5])
 
 
 def test_friedman_ranks_hand_table():
@@ -280,8 +276,10 @@ def test_friedman_ranks_hand_table():
         [0.6, 0.9, 0.6],
         [0.7, 0.7, 0.9],
     ]
-    # per-dataset ranks: (1, 2, 3), (2.5, 1, 2.5), (2.5, 2.5, 1)
-    np.testing.assert_array_equal(friedman_ranks(table),
+    res = friedman_test(table)
+    np.testing.assert_array_equal(res.ranks,
+                                  [[1, 2, 3], [2.5, 1, 2.5], [2.5, 2.5, 1]])
+    np.testing.assert_array_equal(res.average_ranks,
                                   [2.0, 11.0 / 6.0, 13.0 / 6.0])
 
 
@@ -290,12 +288,14 @@ def test_friedman_rank_sums_per_dataset():
     table = rng.uniform(size=(7, 5))
     for row in table:
         assert rankdata(-row).sum() == 15.0
-    assert friedman_ranks(table).sum() == pytest.approx(15.0, abs=1e-12)
+    res = friedman_test(table)
+    np.testing.assert_array_equal(res.ranks, [rankdata(-row) for row in table])
+    assert res.average_ranks.sum() == pytest.approx(15.0, abs=1e-12)
 
 
 def test_friedman_needs_two_methods():
     with pytest.raises(ValueError):
-        friedman_ranks([[0.5]])
+        friedman_test([[0.5]])
 
 
 def test_chi_square_reference_case():
@@ -326,7 +326,7 @@ def test_friedman_test_end_to_end():
     # 12 * 4 / (2 * 3) * (1 + 4 - 2 * 9 / 4) = 8 * 0.5 = 4
     assert res.chi_square == pytest.approx(4.0, rel=1e-12)
     assert res.p_value == pytest.approx(0.04550026, rel=1e-6)
-    assert res.n_datasets == 4 and res.n_methods == 2
+    np.testing.assert_array_equal(res.ranks, [[1.0, 2.0]] * 4)
 
 
 def test_chi_square_p_value_validation():
@@ -441,3 +441,19 @@ def test_ranks_csv_comment_header(tmp_path):
     assert lines[2] == "# datasets_ranked,2"
     assert lines[3] == "method,average_rank"
     assert len(lines) == 6
+
+
+def test_bench_run_one_method_failure_warns_once(monkeypatch):
+    # one method is never ranked, so its failed cell excludes nothing
+    ds = make_synthetic(16, 16, 3, 4.0, seed=12)
+
+    def failing(dataset, scorers, repeats, base_seed):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(ev, "repeated_aucs", failing)
+    with pytest.warns(UserWarning) as record:
+        rep = ev.bench_run([ds], ["ocksr"], repeats=1, base_seed=0)
+    assert [str(w.message) for w in record] == [
+        f"cell ({ds.name}, ocksr) failed and is recorded as missing: synthetic failure"]
+    assert rep.cells[ds.name]["ocksr"].error is not None
+    assert rep.average_ranks is None and rep.ranked_datasets == []

@@ -355,8 +355,9 @@ def test_calibrate_matches_pinned_refit_oracle(seed, n, d, sigma_scale, delta,
                                                rejection):
     X = np.random.default_rng(seed).standard_normal((n, d))
     spec = KernelSpec(sigma=sigma_scale * median_pairwise_distance(X), delta=delta)
-    # both paths lose about eps * cond digits; keep to well-conditioned sets
-    K = gram(X, spec) + delta * np.eye(n)
+    # both paths lose about eps * cond digits; keep to well-conditioned
+    # sets (gram already adds delta to the diagonal: K + delta I)
+    K = gram(X, spec)
     assume(np.linalg.cond(K) <= 1e6)
     tau = calibrate_threshold(X, spec, rejection)
     assert tau == pytest.approx(_pinned_refit_tau(X, spec, rejection), rel=1e-9)
@@ -521,17 +522,19 @@ def test_load_rejects_non_finite_values(tmp_path, where, bad):
     ("sigma", np.nan, "sigma"), ("sigma", 0.0, "sigma"), ("sigma", -1.0, "sigma"),
     ("delta", -1e-8, "delta"), ("n_neg", 6, "6 of them negative"),
     ("n", 0, "0 rows"), ("family", 2, "unknown kernel family code 2"),
+    ("tau", -0.5, "negative or non-finite threshold -0.5"),
+    ("tau", -np.inf, "negative or non-finite threshold"),
 ])
 def test_load_rejects_bad_header_fields(tmp_path, field, value, message):
     m = fit(np.random.default_rng(25).standard_normal((5, 2)),
             KernelSpec(sigma=1.0, delta=1e-8))
     path = tmp_path / "bad.bin"
-    save_model(m, str(path))
+    save_model(replace(m, tau=0.5), str(path))
     blob = bytearray(path.read_bytes())
     if field == "n":  # a header with no rows, and so no payload
         del blob[48:]
     fmt, offset = {"sigma": ("<d", 8), "delta": ("<d", 16), "n": ("<Q", 24),
-                   "n_neg": ("<Q", 32), "family": ("<B", 6)}[field]
+                   "n_neg": ("<Q", 32), "family": ("<B", 6), "tau": ("<d", 48)}[field]
     struct.pack_into(fmt, blob, offset, value)
     path.write_bytes(bytes(blob))
     with pytest.raises(ModelFormatError, match=message) as exc:
