@@ -22,7 +22,10 @@ appends, which only build them from rows checked where they entered the
 library, so it follows LAPACK's contract: it reads one triangle and
 makes no checking pass over K.  Its pivot test rejects NaN pivots, so a
 non-finite entry in the triangle it reads still raises
-``NotPositiveDefinite``.
+``NotPositiveDefinite``.  Like LAPACK's in-place routines it consumes
+its input: a batch factors K where it lies (``dpotrf`` with
+``overwrite_a``) and packs the result, so going from K to the packed
+factor takes no second n x n array.
 """
 
 from __future__ import annotations
@@ -137,6 +140,10 @@ def factor_batch(K_rows, b, base: CholeskyFactor | None = None,
     triangle yields a NaN or nonpositive pivot, which is rejected like
     any other.
 
+    ``K_rows`` is consumed: its contents are undefined after the call,
+    whether it succeeds or raises.  A batch on a C-ordered float64 K
+    factors it in place; a caller that needs K again passes a copy.
+
     The same call extends the forward substitution theta = R^-T b: given
     ``theta``, the base's n entries, it returns the m new ones for the
     new rows' right-hand side ``b``.
@@ -162,9 +169,14 @@ def factor_batch(K_rows, b, base: CholeskyFactor | None = None,
         theta = _vector(theta, n)
 
     lo = n * (n + 1) // 2
+    # row j's floor uses the max diagonal up to row j, as bordering one
+    # row at a time would; read before dpotrf overwrites the diagonal
+    max_diag = np.maximum.accumulate(np.diagonal(K_rows, n))
+    if n:
+        np.maximum(max_diag, base._max_diag, out=max_diag)
     # the upper triangle of S^T is the lower triangle of S, and the
-    # transpose of C-ordered rows is Fortran-ordered: BLAS or LAPACK copies
-    # it once, no transpose
+    # transpose of C-ordered rows is Fortran-ordered: for a batch, dpotrf
+    # factors K_rows' own memory in place
     S = K_rows[:, n:].T
     R12 = np.empty((n, m), order="F")
     if n:
@@ -172,16 +184,12 @@ def factor_batch(K_rows, b, base: CholeskyFactor | None = None,
             R12[:, i] = dtpsv(n, base._tail.buf[:lo], K_rows[i, :n],
                               lower=0, trans=1)
         S = dsyrk(-1.0, R12, beta=1.0, c=S, trans=1)
-    R22, info = dpotrf(S, lower=0, clean=1, overwrite_a=0)
+    # only R22's upper triangle is read below, so the other is left as is
+    R22, info = dpotrf(S, lower=0, clean=0, overwrite_a=1)
     if info < 0:
         raise ValueError(f"illegal argument {-info} in dpotrf")
-    # row j's floor uses the max diagonal up to row j, as bordering one
-    # row at a time would; on a failure LAPACK completed the pivots before
-    # it, and the first small one among them is where K stops being
-    # numerically definite
-    max_diag = np.maximum.accumulate(np.diagonal(K_rows, n))
-    if n:
-        np.maximum(max_diag, base._max_diag, out=max_diag)
+    # on a failure LAPACK completed the pivots before it, and the first
+    # small one among them is where K stops being numerically definite
     done = info - 1 if info > 0 else m
     # negated so that a NaN pivot, or a NaN max diagonal, fails the test
     pivots = np.diag(R22)[:done]

@@ -51,11 +51,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _checked(check):
-    """argparse type: a real that passes the library's ``check``, or a usage error."""
-    def parse(value: str) -> float:
+def _checked(check, kind=float):
+    """argparse type: a ``kind`` that passes the library's ``check``, or a usage error."""
+    def parse(value: str):
         try:
-            return check(float(value))
+            return check(kind(value))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
@@ -63,6 +63,8 @@ def _checked(check):
 
 _delta_arg = _checked(lambda v: KernelSpec(delta=v).delta)
 _sigma_real = _checked(lambda v: KernelSpec(sigma=v).sigma)
+_repeats_arg = _checked(evaluation._check_repeats, int)
+_k_arg = _checked(evaluation._check_k, int)
 
 
 def _sigma_arg(value: str):
@@ -136,9 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--label-col", type=int, required=True)
     p.add_argument("--method", choices=evaluation.SCORER_NAMES, default="ocksr")
-    p.add_argument("--repeats", type=int, default=10)
+    p.add_argument("--repeats", type=_repeats_arg, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_k_arg, default=None,
                    help="neighborhood parameter (default: sweep 3..10)")
     add_sigma_flag(p)
     add_normalize_flag(p)
@@ -151,9 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", action="append", required=True,
                    choices=evaluation.SCORER_NAMES,
                    help="method to include; repeat the flag for several")
-    p.add_argument("--repeats", type=int, default=10)
+    p.add_argument("--repeats", type=_repeats_arg, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_k_arg, default=None,
                    help="neighborhood parameter (default: sweep 3..10)")
     add_sigma_flag(p)
     add_normalize_flag(p)

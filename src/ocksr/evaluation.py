@@ -88,11 +88,21 @@ class OcksrScorer:
         return ocksr_model.score_batch(self._model, Z)[1]
 
 
+def _check_k(k: int) -> int:
+    """A neighborhood size (centers or neighbors) as an int >= 1, or ValueError.
+
+    Each fit also caps k at what its training set allows.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return k
+
+
 class KMeansScorer:
     name = "kmeans"
 
     def __init__(self, k: int = 5):
-        self.k = k
+        self.k = _check_k(k)
         self._model: baselines.KMeansModel | None = None
 
     def fit(self, X: np.ndarray) -> "KMeansScorer":
@@ -108,7 +118,7 @@ class KnnddScorer:
     name = "knndd"
 
     def __init__(self, k: int = 5):
-        self.k = k
+        self.k = _check_k(k)
         self._model: baselines.KnnddModel | None = None
 
     def fit(self, X: np.ndarray) -> "KnnddScorer":
@@ -163,6 +173,13 @@ def make_scorer(name: str, **params):
 # repeated evaluation
 
 
+def _check_repeats(repeats: int) -> int:
+    """A repeat count as an int >= 1, or ValueError."""
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    return repeats
+
+
 def repeated_aucs(
     dataset: Dataset,
     scorers,
@@ -176,9 +193,7 @@ def repeated_aucs(
     targets and scores its test rows.  Any split or fit failure is
     re-raised with the repeat index attached.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    out = np.empty((len(scorers), repeats))
+    out = np.empty((len(scorers), _check_repeats(repeats)))
     for r in range(repeats):
         seed = base_seed + r
         try:

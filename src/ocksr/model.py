@@ -129,17 +129,16 @@ def _solve_with_ladder(
     forward-substitution half of the solve, retained so appends can
     extend it.
     """
-    # Only the diagonal changes along the ladder, so one Gram matrix
-    # serves every rung; factor_batch copies it before factoring.
-    K = gram(X, spec)
     deltas = [spec.delta] + [d for d in ladder if d > spec.delta]
     last: NotPositiveDefinite | None = None
     for delta in deltas:
-        np.fill_diagonal(K, 1.0 + delta)
+        # factor_batch factors K in place, the one n x n array of the
+        # fit, so a failed rung (rare) builds it again from the rows
         try:
-            factor, theta = factor_batch(K, nu)
+            factor, theta = factor_batch(gram(X, replace(spec, delta=delta)), nu)
         except NotPositiveDefinite as exc:
-            last = exc
+            # without its traceback, which holds the consumed K
+            last = exc.with_traceback(None)
             logger.warning(
                 "Gram matrix not positive definite at delta=%g (pivot %d)",
                 delta, exc.pivot_index,
@@ -279,15 +278,6 @@ def classify(model: Model, z, tau: float) -> Decision:
     tau = _check_tau(tau)
     _, novelty = score(model, z)
     return Decision.TARGET if novelty <= tau else Decision.OUTLIER
-
-
-def project_train(model: Model) -> np.ndarray:
-    """Projections of the retained training rows under the trained model.
-
-    Uses raw kernel values (no delta), so at delta = 0 this reproduces
-    the response vector up to solver rounding.
-    """
-    return kernel_cross(model.X_train, model.X_train, model.spec) @ model.alpha
 
 
 def calibrate_threshold(X_pos, spec: KernelSpec, target_rejection: float) -> float:

@@ -25,7 +25,8 @@ from ocksr.evaluation import (
     roc_auc,
 )
 from ocksr.kernel import KernelSpec, gram, kernel_cross, median_pairwise_distance
-from ocksr.model import fit, fit_incremental, fit_supervised, project_train
+from ocksr.model import fit, fit_incremental, fit_supervised
+from oracles import project_train
 
 
 def solve_spd(K, b):
@@ -116,7 +117,7 @@ def test_incremental_equals_batch():
         K = A @ A.T / n + 0.5 * np.eye(n)
         nu = np.ones(n)
         start = int(rng.integers(1, n))
-        f, theta = factor_batch(K[:start, :start], nu[:start])
+        f, theta = factor_batch(K[:start, :start].copy(), nu[:start])
         m = start
         while m < n:  # arbitrary append schedule: one block per random chunk
             step = int(rng.integers(1, min(16, n - m) + 1))
@@ -143,7 +144,7 @@ def test_cholesky_reconstruction():
         n = int(rng.integers(1, 201))
         A = rng.standard_normal((n, n + 3))
         K = A @ A.T + 0.1 * np.eye(n)
-        R = factor_batch(K, np.ones(n))[0].R
+        R = factor_batch(K.copy(), np.ones(n))[0].R
         worst = max(worst, float(np.linalg.norm(R.T @ R - K) / np.linalg.norm(K)))
     ok = worst <= 1e-10
     _report("cholesky reconstruction", ok,
@@ -159,7 +160,7 @@ def test_response_scale_invariance():
     Kz = kernel_cross(X, test.X, spec)
     aucs = {}
     for c in (1.0, 0.5, 3.0, -2.0):
-        alpha_c = solve_spd(K, np.full(X.shape[0], c))
+        alpha_c = solve_spd(K.copy(), np.full(X.shape[0], c))
         novelty = np.abs(Kz @ alpha_c - c)
         aucs[c] = roc_auc(novelty, test.labels)
     ok = all(aucs[c] == aucs[1.0] for c in (0.5, 3.0, -2.0))

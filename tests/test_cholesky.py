@@ -36,7 +36,7 @@ def border_rows_one_by_one(K, b, start):
     sqrt(k_jj - r.r) and theta's new entry (b_j - r.theta) / pivot.
     Returns the packed factor and theta = R^-T b.
     """
-    f, theta = factor_batch(K[:start, :start], b[:start])
+    f, theta = factor_batch(K[:start, :start].copy(), b[:start])
     packed, max_diag = f.packed.copy(), float(K.diagonal()[:start].max())
     for j in range(start, K.shape[0]):
         r = dtpsv(j, packed, K[j, :j], lower=0, trans=1)
@@ -71,8 +71,8 @@ def test_indefinite_matrix_rejected():
     # a one-row-at-a-time chain reports it
     K = np.array([[1.0, 0.0, 0.0], [0.0, 1e-14, 1e-3], [0.0, 1e-3, 1.0]])
     b = np.ones(3)
-    f, theta = factor_batch(K[:1, :1], b[:1])
-    for call in (lambda: factor(K), lambda: factor_batch(K[1:], b[1:], f, theta),
+    f, theta = factor_batch(K[:1, :1].copy(), b[:1])
+    for call in (lambda: factor(K.copy()), lambda: factor_batch(K[1:], b[1:], f, theta),
                  lambda: border_rows_one_by_one(K, b, 1)):
         with pytest.raises(NotPositiveDefinite) as exc:
             call()
@@ -85,7 +85,7 @@ def test_unread_triangle_is_ignored():
     rng = np.random.default_rng(2)
     for n in (2, 9, 300):
         K = _random_spd(rng, n)
-        ref = factor(K)
+        ref = factor(K.copy())
         upper = np.triu_indices(n, 1)
         for junk in (np.nan, np.inf, -np.inf,
                      1e6 * rng.standard_normal(upper[0].size)):
@@ -125,7 +125,7 @@ def test_non_square_rejected():
 @settings(max_examples=40, deadline=None)
 def test_factor_reproduces_matrix(seed, n):
     K = _random_spd(np.random.default_rng(seed), n)
-    R = factor(K).R
+    R = factor(K.copy()).R
     assert np.array_equal(np.tril(R, -1), np.zeros_like(R))
     assert np.diag(R).min() > 0
     assert np.linalg.norm(R.T @ R - K) / np.linalg.norm(K) <= 1e-10
@@ -133,19 +133,32 @@ def test_factor_reproduces_matrix(seed, n):
 
 @given(st.integers(0, 10**6), st.integers(1, 60), st.integers(0, 59))
 @settings(max_examples=40, deadline=None)
-def test_factor_leaves_input_intact(seed, n, cut):
-    # the fit ladder rewrites one Gram diagonal between factorizations, so
-    # factoring, from scratch or onto a base, must not write into K or b
+def test_factor_writes_only_into_K(seed, n, cut):
+    # factoring, from scratch or onto a base, consumes K_rows and nothing
+    # else: b, the base factor and the base's theta stay as they were
     cut = min(cut, n - 1)
     rng = np.random.default_rng(seed)
     K, b = _random_spd(rng, n), rng.standard_normal(n)
-    K_before, b_before = K.copy(), b.copy()
-    f, theta = factor_batch(K[:cut, :cut], b[:cut]) if cut else (None, None)
-    g, _ = factor_batch(K[cut:], b[cut:], f, theta)
-    np.testing.assert_array_equal(K, K_before)
+    b_before = b.copy()
+    f, theta = factor_batch(K[:cut, :cut].copy(), b[:cut]) if cut else (None, None)
+    base = (f.packed.copy(), theta.copy()) if cut else None
+    g, _ = factor_batch(K[cut:].copy(), b[cut:], f, theta)
     np.testing.assert_array_equal(b, b_before)
+    if cut:
+        np.testing.assert_array_equal(f.packed, base[0])
+        np.testing.assert_array_equal(theta, base[1])
     R = g.R
     assert np.linalg.norm(R.T @ R - K) / np.linalg.norm(K) <= 1e-10
+
+
+def test_batch_factors_K_in_place():
+    # a C-ordered K is factored where it lies: no second n x n array, and
+    # its lower triangle ends up holding R^T
+    K = _random_spd(np.random.default_rng(4), 300)
+    consumed = K.copy()
+    f = factor(consumed)
+    np.testing.assert_array_equal(np.tril(consumed), f.R.T)
+    assert np.linalg.norm(f.R.T @ f.R - K) / np.linalg.norm(K) <= 1e-10
 
 
 def _order_one(k11):
@@ -218,7 +231,7 @@ def test_incremental_chain_matches_batch(seed, n, start):
     rng = np.random.default_rng(seed)
     K = _random_spd(rng, n)
     b = np.ones(n)
-    f, theta = factor_batch(K[:start, :start], b[:start])
+    f, theta = factor_batch(K[:start, :start].copy(), b[:start])
     for m in range(start, n):
         f, theta_new = factor_batch(K[m: m + 1, : m + 1], b[m: m + 1], f, theta)
         theta = np.append(theta, theta_new)
@@ -238,7 +251,7 @@ def test_block_append_matches_row_chain_and_batch(seed, n, data, delta):
     spec = KernelSpec(sigma=0.5 * median_pairwise_distance(X), delta=delta)
     K, b = gram(X, spec), np.ones(n)
     start = data.draw(st.integers(1, n - 1), label="start")
-    f, theta = factor_batch(K[:start, :start], b[:start])
+    f, theta = factor_batch(K[:start, :start].copy(), b[:start])
     lo = start
     while lo < n:  # a random chunk schedule
         hi = lo + data.draw(st.integers(1, n - lo), label="chunk")
@@ -247,7 +260,7 @@ def test_block_append_matches_row_chain_and_batch(seed, n, data, delta):
         f, theta_new = factor_batch(rows, b[lo:hi], f, theta)
         theta = np.concatenate((theta, theta_new))
         lo = hi
-    g, theta_batch = factor_batch(K, b)
+    g, theta_batch = factor_batch(K.copy(), b)
     row_packed, row_theta = border_rows_one_by_one(K, b, start)
     alpha = solve_upper(f, theta)
     alpha_batch = solve_upper(g, theta_batch)
@@ -273,7 +286,7 @@ def test_duplicate_row_in_block_reports_its_global_index(j, twin):
     with pytest.raises(NotPositiveDefinite) as block:
         factor_batch(K[n:], b[n:], f, theta)
     with pytest.raises(NotPositiveDefinite) as whole:
-        factor(K)
+        factor(K.copy())
     with pytest.raises(NotPositiveDefinite) as one_by_one:
         border_rows_one_by_one(K, b, n)
     assert (block.value.pivot_index == whole.value.pivot_index
@@ -330,7 +343,7 @@ def test_solve_spd_matches_dense_solver(seed, n):
     rng = np.random.default_rng(seed)
     K = _random_spd(rng, n)
     b = rng.standard_normal(n)
-    x = solve_spd(K, b)
+    x = solve_spd(K.copy(), b)
     np.testing.assert_allclose(x, np.linalg.solve(K, b), rtol=1e-8, atol=1e-10)
 
 

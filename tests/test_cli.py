@@ -21,7 +21,8 @@ from ocksr.dataset import (
     write_csv,
 )
 from ocksr.kernel import KernelSpec, median_pairwise_distance
-from ocksr.model import Model, fit, load_model, project_train, save_model, score_batch
+from ocksr.model import Model, fit, load_model, save_model, score_batch
+from oracles import project_train
 
 
 def _synth_csv(tmp_path, name="data.csv", n_pos=30, n_neg=20, d=5, sep=4.0, seed=0):
@@ -412,6 +413,9 @@ def test_bad_sigma_exit_1(tmp_path):
              "--out", str(tmp_path / "m.bin")]
     score = ["score", "--model", "m.bin", "--data", "d.csv"]
     calibrate = ["calibrate", "--data", "d.csv", "--label-col", "0"]
+    evaluate = ["eval", "--data", "d.csv", "--label-col", "0", "--method", "knndd"]
+    bench = ["bench", "--data", "d.csv", "--label-col", "0", "--method", "knndd",
+             "--out", str(tmp_path / "r")]
     for argv, flag, value in [
         (train, "--sigma", "-2"), (train, "--sigma", "nan"), (train, "--sigma", "inf"),
         (train, "--delta", "-1"), (train, "--delta", "nan"),
@@ -419,6 +423,9 @@ def test_bad_sigma_exit_1(tmp_path):
         (score, "--tau", "nan"), (score, "--tau", "-1"), (score, "--tau", "inf"),
         # calibrate_threshold's rule: a rejection rate lies in [0, 1)
         (calibrate, "--rejection", "1.5"), (calibrate, "--rejection", "nan"),
+        # repeated_aucs' rule: at least one repeat; the scorers': k >= 1
+        (evaluate, "--repeats", "0"), (evaluate, "--k", "0"), (evaluate, "--k", "-1"),
+        (bench, "--repeats", "0"), (bench, "--repeats", "-3"), (bench, "--k", "0"),
     ]:
         with pytest.raises(SystemExit) as exc:
             main(argv + [flag, value])

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.spatial.distance import pdist
+
+import oracles
 from ocksr.cholesky import factor_batch
 from ocksr.kernel import KernelSpec, gram, kernel_cross, median_pairwise_distance
 
@@ -186,3 +189,66 @@ def test_median_distance_hand_case():
 def test_median_distance_degenerate():
     assert median_pairwise_distance(np.array([[1.0, 2.0]])) == 1.0
     assert median_pairwise_distance(np.zeros((4, 2))) == 1.0
+
+
+def _pdist_median(X) -> float:
+    """Oracle: the median of the explicit-difference distances, 1.0 if it is 0."""
+    med = float(np.median(pdist(X)))
+    return med if med > 0.0 else 1.0
+
+
+# an offset shared by every row: the expansion ||a||^2 + ||b||^2 - 2 a.b
+# on unshifted rows lost every digit of the distances at 1e7
+OFFSETS = [0.0, 1e3, 1e5, 1e7, 1e9]
+
+
+def _offset_rows(seed, n, d, offset, scale, twins):
+    """Standard-normal rows times scale plus a shared offset; ``twins``
+    rows repeat earlier ones (every row repeats row 0 when twins >= n)."""
+    rng = np.random.default_rng(seed)
+    X = scale * rng.standard_normal((n, d)) + offset * rng.standard_normal(d)
+    if twins >= n:
+        X[:] = X[0]
+    for i in rng.choice(n, size=min(twins, n - 1), replace=False):
+        X[i] = X[rng.integers(n)]
+    return X
+
+
+@given(st.integers(0, 10**6), st.integers(2, 40), st.integers(1, 8),
+       st.sampled_from(OFFSETS), st.sampled_from([1e-3, 1.0, 1e2]),
+       st.integers(0, 45))
+@settings(max_examples=150, deadline=None)
+def test_median_matches_pdist_under_offsets(seed, n, d, offset, scale, twins):
+    # duplicate rows, all rows coinciding, odd and even pair counts
+    X = _offset_rows(seed, n, d, offset, scale, twins)
+    assert median_pairwise_distance(X) == pytest.approx(_pdist_median(X), rel=1e-14)
+
+
+def test_median_pair_count_parity():
+    # n = 2..9 gives 1, 3, 6, 10, 15, 21, 28, 36 pairs: both middles, and one
+    rng = np.random.default_rng(12)
+    for n in range(2, 10):
+        X = rng.standard_normal((n, 3)) + 1e6
+        assert median_pairwise_distance(X) == pytest.approx(_pdist_median(X), rel=1e-14)
+    # an even count takes the mean of the two middle distances, not the
+    # root of the mean of their squares (3.5355... below)
+    X = np.array([[0.0], [1.0], [3.0], [6.0]])  # distances 1 2 3 3 5 6
+    assert median_pairwise_distance(X) == 3.0
+    X = np.array([[0.0], [1.0], [3.0], [7.0]])  # distances 1 2 3 4 6 7
+    assert median_pairwise_distance(X) == 3.5
+
+
+def test_median_spans_several_row_blocks():
+    # 1100 rows make 604,450 pairs: more than one block of the pair vector
+    X = np.random.default_rng(13).standard_normal((1100, 3)) + 1e4
+    X[500:520] = X[3]
+    assert median_pairwise_distance(X) == pytest.approx(_pdist_median(X), rel=1e-14)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 40), st.integers(1, 8),
+       st.sampled_from(OFFSETS), st.integers(0, 45))
+@settings(max_examples=100, deadline=None)
+def test_gram_matches_explicit_differences_under_offsets(seed, n, d, offset, twins):
+    X = _offset_rows(seed, n, d, offset, 1.0, twins)
+    spec = KernelSpec(sigma=median_pairwise_distance(X), delta=0.125)
+    np.testing.assert_allclose(gram(X, spec), oracles.gram(X, spec), rtol=0, atol=1e-14)

@@ -23,11 +23,12 @@ from ocksr.model import (
     fit_incremental,
     fit_supervised,
     load_model,
-    project_train,
     save_model,
     score,
     score_batch,
 )
+import oracles
+from oracles import project_train
 
 # distance at which the unit-bandwidth kernel equals exactly 1/2
 HALF_DIST = float(np.sqrt(2.0 * np.log(2.0)))
@@ -414,8 +415,8 @@ def test_delta_ladder_escalates_on_duplicates(caplog):
 
 
 def test_escalated_fit_matches_direct_fit_at_that_delta():
-    # the ladder reuses one Gram matrix and rewrites only its diagonal, so a
-    # failed rung must leave nothing behind in the next one
+    # a failed rung consumed its Gram matrix and the next one builds its
+    # own, so a failed rung must leave nothing behind in the next one
     X = np.random.default_rng(21).standard_normal((12, 3))
     X[5] = X[2]
     X[9] = X[2]
@@ -633,3 +634,68 @@ def test_model_and_dataset_leave_caller_arrays_writable():
         ds.X[0, 0] = 1.0
     # no copy: a direct Model and Dataset share the caller's memory
     assert np.shares_memory(model.X_train, X) and np.shares_memory(ds.X, X)
+
+
+def test_fit_is_translation_invariant():
+    # rows on a 2^-20 grid stay exact under every offset up to 1e9, and so
+    # do the rows shifted by the first one: alpha is bit-identical.  On
+    # unshifted rows, the expansion of the distances lost them at 1e7,
+    # where every rung of the ladder failed.
+    rng = np.random.default_rng(60)
+    X = np.round(rng.standard_normal((60, 4)) * 2.0**20) / 2.0**20
+    spec = KernelSpec(sigma=1.0)
+    ref = fit(X, spec)
+    assert ref.spec == spec
+    for c in (1e3, 1e5, 1e7, 1e9):
+        m = fit(X + c, spec)
+        assert m.spec == spec
+        np.testing.assert_array_equal(m.alpha, ref.alpha)
+        assert median_pairwise_distance(X + c) == median_pairwise_distance(X)
+    # off the grid the offset rounds the rows themselves: against the
+    # explicit-difference oracle on the same rounded rows
+    Y = rng.standard_normal((60, 4))
+    for c in (0.0, 1e3, 1e5, 1e7, 1e9):
+        m = fit(Y + c, spec)
+        ref = oracles.fit_alpha(Y + c, m.spec)
+        cond = np.linalg.cond(oracles.gram(Y + c, m.spec))
+        assert np.abs(m.alpha - ref).max() <= 1e-12 * cond * np.abs(ref).max()
+
+
+@given(st.integers(0, 10**6), st.integers(1, 80), st.integers(1, 8),
+       st.floats(0.3, 2.0), st.sampled_from([0.0, 1e-8, 1e-4]))
+@settings(max_examples=60, deadline=None)
+def test_fit_matches_copying_oracle(seed, n, d, sigma_scale, delta):
+    # the fit factors its one Gram array in place; the oracle builds K from
+    # explicit differences and factors a copy.  Both lose about eps * cond
+    # of alpha: the bound is 1e-12 cond(K + delta I) max |alpha|
+    X = np.random.default_rng(seed).standard_normal((n, d))
+    m = fit(X, KernelSpec(sigma=sigma_scale * median_pairwise_distance(X), delta=delta))
+    ref = oracles.fit_alpha(X, m.spec)
+    cond = np.linalg.cond(oracles.gram(X, m.spec))
+    assert np.abs(m.alpha - ref).max() <= 1e-12 * cond * np.abs(ref).max()
+
+
+def test_failed_rung_rebuilds_consumed_gram(monkeypatch, caplog):
+    # the first rung's factorization consumed its Gram matrix, so the next
+    # rung builds a new one; the log reads as when one K served every rung
+    grams = []
+
+    def counting(X, spec):
+        grams.append(spec.delta)
+        return gram(X, spec)
+
+    monkeypatch.setattr(model_module, "gram", counting)
+    X = np.random.default_rng(14).standard_normal((12, 3))
+    X[7] = X[2]
+    spec = KernelSpec(sigma=median_pairwise_distance(X), delta=0.0)
+    with caplog.at_level(logging.WARNING, logger="ocksr.model"):
+        m = fit(X, spec)
+    assert grams == [0.0, DELTA_LADDER[0]]
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "Gram matrix not positive definite at delta=0 (pivot 7)",
+        "regularizer escalated from delta=0 to delta=1e-08",
+    ]
+    assert m.spec.delta == DELTA_LADDER[0]
+    ref = oracles.fit_alpha(X, m.spec)
+    cond = np.linalg.cond(oracles.gram(X, m.spec))
+    assert np.abs(m.alpha - ref).max() <= 1e-12 * cond * np.abs(ref).max()
