@@ -69,10 +69,18 @@ class Model:
     Models appended from one another share these buffers.  Neither cache
     is serialized: the first append to a model without them (loaded, or
     built directly) solves once over the stored and new rows.
+
+    A model given its caches and ``alpha=None`` (as ``fit``,
+    ``fit_supervised`` and ``fit_incremental`` build it) solves
+    R alpha = theta the first time ``alpha`` is read and keeps the
+    result, so an append costs only its border.  theta's prefix in the
+    shared tail never changes, so a model read late, after its chain was
+    appended to or branched, still gets its own alpha.  A model given an
+    ``alpha`` keeps it.
     """
 
     X_train: np.ndarray
-    alpha: np.ndarray
+    alpha: np.ndarray | None
     nu: np.ndarray
     spec: KernelSpec
     n_neg: int = 0
@@ -84,20 +92,41 @@ class Model:
     def __post_init__(self) -> None:
         # views, so that freezing them leaves the caller's arrays writable
         X = np.ascontiguousarray(np.asarray(self.X_train, dtype=np.float64)).view()
-        alpha = np.asarray(self.alpha, dtype=np.float64).ravel().view()
         nu = np.asarray(self.nu, dtype=np.float64).ravel().view()
         if X.ndim != 2 or X.shape[0] < 1:
             raise ValueError("X_train must be a nonempty 2-d array")
-        if alpha.shape[0] != X.shape[0] or nu.shape[0] != X.shape[0]:
-            raise ValueError("alpha and nu must have one entry per training row")
+        if nu.shape[0] != X.shape[0]:
+            raise ValueError("nu must have one entry per training row")
         if not 0 <= self.n_neg <= X.shape[0]:
             raise ValueError("n_neg out of range")
+        if self.alpha is None:
+            if self.factor is None or self.tails is None or self.factor.m != X.shape[0]:
+                raise ValueError("a model without alpha needs the factor of its rows")
+            # unset, so that the first read reaches __getattr__
+            object.__delattr__(self, "alpha")
+        else:
+            alpha = np.asarray(self.alpha, dtype=np.float64).ravel().view()
+            if alpha.shape[0] != X.shape[0]:
+                raise ValueError("alpha must have one entry per training row")
+            alpha.setflags(write=False)
+            object.__setattr__(self, "alpha", alpha)
         X.setflags(write=False)
-        alpha.setflags(write=False)
         nu.setflags(write=False)
         object.__setattr__(self, "X_train", X)
-        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "nu", nu)
+
+    def __getattr__(self, name: str):
+        # reached only for attributes the instance lacks: alpha, when it
+        # is still to be solved from the factor and theta's prefix
+        if name != "alpha":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        factor = self.factor
+        alpha = solve_upper(factor, self.tails[2].buf[: factor.m])
+        alpha.setflags(write=False)
+        # one atomic store: of two threads solving at once, both return
+        # the array the first one stored
+        return vars(self).setdefault("alpha", alpha)
 
     @property
     def n(self) -> int:
@@ -119,15 +148,15 @@ def _as_rows(X, d: int | None = None) -> np.ndarray:
     return X
 
 
-def _solve_with_ladder(
+def _factor_with_ladder(
     X: np.ndarray, nu: np.ndarray, spec: KernelSpec,
     ladder: tuple[float, ...] = DELTA_LADDER,
-) -> tuple[np.ndarray, CholeskyFactor, KernelSpec, np.ndarray]:
-    """Factor the Gram matrix and solve for alpha, escalating delta on failure.
+) -> tuple[CholeskyFactor, KernelSpec, np.ndarray]:
+    """Factor the Gram matrix, escalating delta on failure.
 
-    Returns (alpha, factor, effective spec, theta) with theta the
-    forward-substitution half of the solve, retained so appends can
-    extend it.
+    Returns (factor, effective spec, theta) with theta = R^-T nu the
+    forward-substitution half of the solve: the back substitution is
+    left to the model's first read of alpha, and appends extend theta.
     """
     deltas = [spec.delta] + [d for d in ladder if d > spec.delta]
     last: NotPositiveDefinite | None = None
@@ -147,20 +176,22 @@ def _solve_with_ladder(
         if delta != spec.delta:
             logger.warning("regularizer escalated from delta=%g to delta=%g",
                            spec.delta, delta)
-        alpha = solve_upper(factor, theta)
-        return alpha, factor, replace(spec, delta=delta), theta
+        return factor, replace(spec, delta=delta), theta
     assert last is not None
     raise last
 
 
-def _with_caches(X: np.ndarray, alpha: np.ndarray, nu: np.ndarray,
-                 spec: KernelSpec, n_neg: int, factor: CholeskyFactor,
-                 theta: np.ndarray, tau: float | None = None) -> Model:
-    """A model whose rows, row norms and theta live in fresh tails."""
+def _with_caches(X: np.ndarray, nu: np.ndarray, spec: KernelSpec, n_neg: int,
+                 factor: CholeskyFactor, theta: np.ndarray,
+                 tau: float | None = None) -> Model:
+    """A model whose rows, row norms and theta live in fresh tails.
+
+    Its alpha is solved when first read.
+    """
     rows = _Tail().extend(0, X.ravel())
     tails = (rows, _Tail().extend(0, np.einsum("ij,ij->i", X, X)),
              _Tail().extend(0, theta))
-    return Model(rows.buf[: X.size].reshape(X.shape), alpha, nu, spec,
+    return Model(rows.buf[: X.size].reshape(X.shape), None, nu, spec,
                  n_neg=n_neg, tau=tau, factor=factor, tails=tails)
 
 
@@ -173,8 +204,8 @@ def fit(X_pos, spec: KernelSpec) -> Model:
     """
     X = _as_rows(X_pos)
     nu = np.ones(X.shape[0])
-    alpha, factor, eff, theta = _solve_with_ladder(X, nu, spec)
-    return _with_caches(X, alpha, nu, eff, 0, factor, theta)
+    factor, eff, theta = _factor_with_ladder(X, nu, spec)
+    return _with_caches(X, nu, eff, 0, factor, theta)
 
 
 def fit_supervised(X_pos, X_neg, spec: KernelSpec) -> Model:
@@ -190,20 +221,21 @@ def fit_supervised(X_pos, X_neg, spec: KernelSpec) -> Model:
     X_neg = _as_rows(X_neg, X_pos.shape[1])
     X = np.vstack([X_pos, X_neg])
     nu = np.concatenate([np.ones(X_pos.shape[0]), np.zeros(X_neg.shape[0])])
-    alpha, factor, eff, theta = _solve_with_ladder(X, nu, spec)
-    return _with_caches(X, alpha, nu, eff, X_neg.shape[0], factor, theta)
+    factor, eff, theta = _factor_with_ladder(X, nu, spec)
+    return _with_caches(X, nu, eff, X_neg.shape[0], factor, theta)
 
 
 def fit_incremental(model: Model, X_new) -> Model:
     """Append positive rows to a trained model, extending its factor.
 
     The m new rows border the retained Cholesky factor by m rows and
-    columns (one triangular solve per row against the old factor, then
-    an m x m factorization) and extend the cached forward-substituted
-    response, after which a single back substitution yields the enlarged
-    coefficient vector.  The result matches a batch fit on the
-    concatenated rows.  Appended rows are always treated as positives;
-    adding negatives requires a refit.
+    columns (triangular solves against the old factor, then an m x m
+    factorization) and extend the cached forward-substituted response
+    theta.  That is all an append costs: the enlarged coefficient vector
+    is one back substitution away, made when ``alpha`` is first read.
+    The result matches a batch fit on the concatenated rows.  Appended
+    rows are always treated as positives; adding negatives requires a
+    refit.
 
     A model without caches (loaded, or built directly) has no factor to
     extend: its stored and new rows are solved together once, in stored
@@ -220,9 +252,8 @@ def fit_incremental(model: Model, X_new) -> Model:
     nu = np.concatenate([model.nu, np.ones(X_new.shape[0])])
     if model.factor is None or model.tails is None:
         X = np.vstack([model.X_train, X_new])
-        alpha, factor, spec, theta = _solve_with_ladder(X, nu, model.spec, ladder=())
-        return _with_caches(X, alpha, nu, spec, model.n_neg, factor, theta,
-                            tau=model.tau)
+        factor, spec, theta = _factor_with_ladder(X, nu, model.spec, ladder=())
+        return _with_caches(X, nu, spec, model.n_neg, factor, theta, tau=model.tau)
 
     (n, d), m, spec = model.X_train.shape, X_new.shape[0], model.spec
     rows, sq, theta = model.tails
@@ -235,8 +266,7 @@ def fit_incremental(model: Model, X_new) -> Model:
     np.fill_diagonal(K_rows[:, n:], 1.0 + spec.delta)
     factor, theta_new = factor_batch(K_rows, nu[n:], model.factor, theta.buf[:n])
     theta = theta.extend(n, theta_new)
-    alpha = solve_upper(factor, theta.buf[: n + m])
-    return Model(X, alpha, nu, spec, n_neg=model.n_neg, tau=model.tau,
+    return Model(X, None, nu, spec, n_neg=model.n_neg, tau=model.tau,
                  factor=factor, tails=(rows, sq, theta))
 
 

@@ -2,14 +2,30 @@
 
 pytest puts this directory on ``sys.path``, so test modules import it
 as ``oracles``.  Nothing here is fast; each routine takes the plainest
-route to its answer.
+route to its answer.  ``R_of`` and ``packed_of`` show the tests a
+factor's storage, which the library itself never reads back.
 """
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
+from ocksr.cholesky import _unpack
 from ocksr.kernel import KernelSpec, kernel_cross
+
+
+def R_of(factor) -> np.ndarray:
+    """A ``CholeskyFactor`` as a read-only dense upper-triangular matrix."""
+    R = _unpack(factor)
+    R.setflags(write=False)
+    return R
+
+
+def packed_of(factor) -> np.ndarray:
+    """Read-only view of a ``CholeskyFactor``'s column-packed upper triangle."""
+    view = factor._tail.buf[: factor.m * (factor.m + 1) // 2].view()
+    view.setflags(write=False)
+    return view
 
 
 def project_train(model) -> np.ndarray:

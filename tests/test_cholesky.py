@@ -4,12 +4,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg.blas import dtpsv
 
 from ocksr.cholesky import (
+    BLOCK_BORDER_ROWS,
     PIVOT_EPS,
     NotPositiveDefinite,
     factor_batch,
     solve_upper,
 )
 from ocksr.kernel import KernelSpec, gram, median_pairwise_distance
+from oracles import R_of, packed_of
 
 
 def _random_spd(rng, n, ridge=0.5):
@@ -37,7 +39,7 @@ def border_rows_one_by_one(K, b, start):
     Returns the packed factor and theta = R^-T b.
     """
     f, theta = factor_batch(K[:start, :start].copy(), b[:start])
-    packed, max_diag = f.packed.copy(), float(K.diagonal()[:start].max())
+    packed, max_diag = packed_of(f).copy(), float(K.diagonal()[:start].max())
     for j in range(start, K.shape[0]):
         r = dtpsv(j, packed, K[j, :j], lower=0, trans=1)
         max_diag = max(max_diag, K[j, j])
@@ -52,13 +54,13 @@ def border_rows_one_by_one(K, b, start):
 
 def test_identity_factors_to_itself():
     f = factor(np.eye(3))
-    np.testing.assert_array_equal(f.R, np.eye(3))
+    np.testing.assert_array_equal(R_of(f), np.eye(3))
     assert f.m == 3
 
 
 def test_two_by_two_hand_factor():
     f = factor(np.array([[1.0, 0.5], [0.5, 1.0]]))
-    np.testing.assert_allclose(f.R, [[1.0, 0.5], [0.0, np.sqrt(0.75)]], rtol=1e-15)
+    np.testing.assert_allclose(R_of(f), [[1.0, 0.5], [0.0, np.sqrt(0.75)]], rtol=1e-15)
 
 
 def test_indefinite_matrix_rejected():
@@ -91,7 +93,7 @@ def test_unread_triangle_is_ignored():
                      1e6 * rng.standard_normal(upper[0].size)):
             bad = K.copy()
             bad[upper] = junk
-            np.testing.assert_array_equal(factor(bad).packed, ref.packed)
+            np.testing.assert_array_equal(packed_of(factor(bad)), packed_of(ref))
 
 
 def test_non_finite_rejected():
@@ -125,7 +127,7 @@ def test_non_square_rejected():
 @settings(max_examples=40, deadline=None)
 def test_factor_reproduces_matrix(seed, n):
     K = _random_spd(np.random.default_rng(seed), n)
-    R = factor(K.copy()).R
+    R = R_of(factor(K.copy()))
     assert np.array_equal(np.tril(R, -1), np.zeros_like(R))
     assert np.diag(R).min() > 0
     assert np.linalg.norm(R.T @ R - K) / np.linalg.norm(K) <= 1e-10
@@ -141,13 +143,13 @@ def test_factor_writes_only_into_K(seed, n, cut):
     K, b = _random_spd(rng, n), rng.standard_normal(n)
     b_before = b.copy()
     f, theta = factor_batch(K[:cut, :cut].copy(), b[:cut]) if cut else (None, None)
-    base = (f.packed.copy(), theta.copy()) if cut else None
+    base = (packed_of(f).copy(), theta.copy()) if cut else None
     g, _ = factor_batch(K[cut:].copy(), b[cut:], f, theta)
     np.testing.assert_array_equal(b, b_before)
     if cut:
-        np.testing.assert_array_equal(f.packed, base[0])
+        np.testing.assert_array_equal(packed_of(f), base[0])
         np.testing.assert_array_equal(theta, base[1])
-    R = g.R
+    R = R_of(g)
     assert np.linalg.norm(R.T @ R - K) / np.linalg.norm(K) <= 1e-10
 
 
@@ -157,8 +159,8 @@ def test_batch_factors_K_in_place():
     K = _random_spd(np.random.default_rng(4), 300)
     consumed = K.copy()
     f = factor(consumed)
-    np.testing.assert_array_equal(np.tril(consumed), f.R.T)
-    assert np.linalg.norm(f.R.T @ f.R - K) / np.linalg.norm(K) <= 1e-10
+    np.testing.assert_array_equal(np.tril(consumed), R_of(f).T)
+    assert np.linalg.norm(R_of(f).T @ R_of(f) - K) / np.linalg.norm(K) <= 1e-10
 
 
 def _order_one(k11):
@@ -166,8 +168,8 @@ def _order_one(k11):
 
 
 def test_order_one_factor_cases():
-    np.testing.assert_array_equal(_order_one(1.0).R, [[1.0]])
-    np.testing.assert_array_equal(_order_one(4.0).R, [[2.0]])
+    np.testing.assert_array_equal(R_of(_order_one(1.0)), [[1.0]])
+    np.testing.assert_array_equal(R_of(_order_one(4.0)), [[2.0]])
     with pytest.raises(NotPositiveDefinite) as exc:
         _order_one(0.0)
     assert exc.value.pivot_index == 0
@@ -185,12 +187,12 @@ def _extend_one(f, k_new, k_diag):
 def test_extend_matches_batch_two_by_two():
     f = _extend_one(_order_one(1.0), [0.5], 1.0)
     g = factor(np.array([[1.0, 0.5], [0.5, 1.0]]))
-    np.testing.assert_allclose(f.R, g.R, rtol=1e-15)
+    np.testing.assert_allclose(R_of(f), R_of(g), rtol=1e-15)
 
 
 def test_extend_orthogonal_point_appends_unit_pivot():
     g = _extend_one(factor(np.array([[2.0]])), [0.0], 1.0)
-    np.testing.assert_allclose(g.R, [[np.sqrt(2.0), 0.0], [0.0, 1.0]], rtol=1e-15)
+    np.testing.assert_allclose(R_of(g), [[np.sqrt(2.0), 0.0], [0.0, 1.0]], rtol=1e-15)
 
 
 def test_extend_duplicate_row_rejected():
@@ -236,8 +238,8 @@ def test_incremental_chain_matches_batch(seed, n, start):
         f, theta_new = factor_batch(K[m: m + 1, : m + 1], b[m: m + 1], f, theta)
         theta = np.append(theta, theta_new)
     g = factor(K)
-    scale = max(1.0, float(np.abs(g.R).max()))
-    assert np.abs(f.R - g.R).max() <= 1e-9 * scale
+    scale = max(1.0, float(np.abs(R_of(g)).max()))
+    assert np.abs(R_of(f) - R_of(g)).max() <= 1e-9 * scale
 
 
 @given(st.integers(0, 10**6), st.integers(2, 90), st.data(),
@@ -265,8 +267,8 @@ def test_block_append_matches_row_chain_and_batch(seed, n, data, delta):
     alpha = solve_upper(f, theta)
     alpha_batch = solve_upper(g, theta_batch)
     scale = max(1.0, float(np.abs(alpha_batch).max()))
-    assert np.abs(f.packed - g.packed).max() <= 1e-9
-    assert np.abs(row_packed - g.packed).max() <= 1e-9
+    assert np.abs(packed_of(f) - packed_of(g)).max() <= 1e-9
+    assert np.abs(row_packed - packed_of(g)).max() <= 1e-9
     assert np.abs(alpha - alpha_batch).max() <= 1e-9 * scale
     alpha_row = dtpsv(n, row_packed, row_theta, lower=0, trans=0)
     assert np.abs(alpha_row - alpha_batch).max() <= 1e-9 * scale
@@ -291,6 +293,56 @@ def test_duplicate_row_in_block_reports_its_global_index(j, twin):
         border_rows_one_by_one(K, b, n)
     assert (block.value.pivot_index == whole.value.pivot_index
             == one_by_one.value.pivot_index == n + j)
+
+
+# chunk sizes on both sides of the switch from per-row solves to one dtrsm
+CHUNKS = (1, 2, BLOCK_BORDER_ROWS - 1, BLOCK_BORDER_ROWS, BLOCK_BORDER_ROWS + 1, 64)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("delta", [0.0, 1e-8])
+def test_fixed_chunks_match_row_chain_and_batch(chunk, delta):
+    rng = np.random.default_rng(chunk)
+    start, n = 37, 37 + 2 * 64 + 5
+    X = rng.standard_normal((n, 6))
+    spec = KernelSpec(sigma=0.5 * median_pairwise_distance(X), delta=delta)
+    K, b = gram(X, spec), np.ones(n)
+    f, theta = factor_batch(K[:start, :start].copy(), b[:start])
+    for lo in range(start, n, chunk):
+        hi = min(lo + chunk, n)
+        rows = K[lo:hi, :hi].copy()
+        rows[np.triu_indices(hi - lo, lo + 1, hi)] = np.nan  # never read
+        f, theta_new = factor_batch(rows, b[lo:hi], f, theta)
+        theta = np.concatenate((theta, theta_new))
+    g, theta_batch = factor_batch(K.copy(), b)
+    row_packed, row_theta = border_rows_one_by_one(K, b, start)
+    alpha_batch = solve_upper(g, theta_batch)
+    scale = max(1.0, float(np.abs(alpha_batch).max()))
+    assert np.abs(packed_of(f) - packed_of(g)).max() <= 1e-9
+    assert np.abs(row_packed - packed_of(g)).max() <= 1e-9
+    assert np.abs(theta - row_theta).max() <= 1e-9 * scale
+    assert np.abs(solve_upper(f, theta) - alpha_batch).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("m", CHUNKS)
+def test_duplicate_row_reports_its_global_index_at_every_block_size(m):
+    # a repeated row inside a block of any size fails at its own pivot,
+    # counted from K's first row, on the per-row and the dtrsm path alike
+    rng = np.random.default_rng(32)
+    n = 20
+    cases = [(m - 1, 3)]  # the last block row repeats a base row
+    if m > 1:
+        cases.append((m // 2, n + m // 4))  # a block row repeats an earlier one
+    for j, twin in cases:
+        X = rng.standard_normal((n + m, 4))
+        X[n + j] = X[twin]
+        K, b = gram(X, KernelSpec(sigma=median_pairwise_distance(X))), np.ones(n + m)
+        f, theta = factor_batch(K[:n, :n].copy(), b[:n])
+        with pytest.raises(NotPositiveDefinite) as block:
+            factor_batch(K[n:].copy(), b[n:], f, theta)
+        with pytest.raises(NotPositiveDefinite) as one_by_one:
+            border_rows_one_by_one(K, b, n)
+        assert block.value.pivot_index == one_by_one.value.pivot_index == n + j
 
 
 @given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 10**6),
@@ -359,14 +411,14 @@ def test_extending_old_factor_leaves_it_intact():
     rng = np.random.default_rng(3)
     K = _random_spd(rng, 52)
     f0 = factor(K[:50, :50])
-    before = f0.R.copy()
+    before = R_of(f0).copy()
     f1 = _extend_one(f0, K[50, :50], K[50, 50])
     f2 = _extend_one(f0, K[51, :50], K[51, 51])  # f0 is no longer the storage tip
-    np.testing.assert_array_equal(f0.R, before)
-    np.testing.assert_array_equal(f1.R[:50, :50], before)
-    np.testing.assert_array_equal(f2.R[:50, :50], before)
+    np.testing.assert_array_equal(R_of(f0), before)
+    np.testing.assert_array_equal(R_of(f1)[:50, :50], before)
+    np.testing.assert_array_equal(R_of(f2)[:50, :50], before)
     assert f1.m == f2.m == 51
-    assert not np.array_equal(f1.R[:, 50], f2.R[:, 50])
+    assert not np.array_equal(R_of(f1)[:, 50], R_of(f2)[:, 50])
 
 
 def test_long_extension_chain_regrows_storage():
@@ -377,7 +429,7 @@ def test_long_extension_chain_regrows_storage():
     for m in range(1, n):
         f = _extend_one(f, K[m, :m], K[m, m])
     assert f.m == n
-    assert np.linalg.norm(f.R.T @ f.R - K) / np.linalg.norm(K) <= 1e-10
+    assert np.linalg.norm(R_of(f).T @ R_of(f) - K) / np.linalg.norm(K) <= 1e-10
 
 
 def test_packed_columns_match_dense():
@@ -385,16 +437,16 @@ def test_packed_columns_match_dense():
     f = factor(_random_spd(np.random.default_rng(5), 7))
     for j in range(7):
         lo = j * (j + 1) // 2
-        np.testing.assert_array_equal(f.packed[lo: lo + j + 1], f.R[: j + 1, j])
-    assert f.packed.shape == (28,)
+        np.testing.assert_array_equal(packed_of(f)[lo: lo + j + 1], R_of(f)[: j + 1, j])
+    assert packed_of(f).shape == (28,)
 
 
 def test_views_read_only():
     f = factor(np.eye(2))
     with pytest.raises(ValueError):
-        f.R[0, 0] = 2.0
+        R_of(f)[0, 0] = 2.0
     with pytest.raises(ValueError):
-        f.packed[0] = 2.0
+        packed_of(f)[0] = 2.0
 
 
 def test_batch_pivot_tolerance_is_relative():
@@ -413,7 +465,7 @@ def test_batch_and_extension_share_the_pivot_floor():
     batch = factor(np.array([[1.0, c], [c, 1.0]]))
     extended = _extend_one(_order_one(1.0), [c], 1.0)
     assert batch.m == extended.m == 2
-    assert batch.R[1, 1] > 0.0 and extended.R[1, 1] > 0.0
+    assert R_of(batch)[1, 1] > 0.0 and R_of(extended)[1, 1] > 0.0
 
 
 def test_extend_pivot_tolerance_is_relative():

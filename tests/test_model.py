@@ -9,7 +9,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ocksr.model as model_module
-from ocksr.cholesky import CholeskyFactor, NotPositiveDefinite, factor_batch
+from ocksr.cholesky import (
+    CholeskyFactor,
+    NotPositiveDefinite,
+    factor_batch,
+    solve_upper,
+)
 from ocksr.dataset import Dataset
 from ocksr.kernel import KernelSpec, gram, median_pairwise_distance
 from ocksr.model import (
@@ -28,7 +33,7 @@ from ocksr.model import (
     score_batch,
 )
 import oracles
-from oracles import project_train
+from oracles import R_of, packed_of, project_train
 
 # distance at which the unit-bandwidth kernel equals exactly 1/2
 HALF_DIST = float(np.sqrt(2.0 * np.log(2.0)))
@@ -195,7 +200,7 @@ def test_concurrent_appends_from_one_base_match_batch():
     K = gram(np.vstack([X, new]), spec)
     ones = np.ones(n + 1)
     ref_factors = [
-        factor_batch(K[np.r_[:n, n + i]][:, np.r_[:n, n + i]], ones)[0].R
+        R_of(factor_batch(K[np.r_[:n, n + i]][:, np.r_[:n, n + i]], ones)[0])
         for i in range(n_threads)]
     theta = factor_batch(K[:n, :n], ones[:n])[1]
 
@@ -222,7 +227,7 @@ def test_concurrent_appends_from_one_base_match_batch():
                     extend_factor, n_threads)):
                 bad_factors += not (
                     isinstance(got, CholeskyFactor)
-                    and np.abs(got.R - ref_factors[i]).max() <= 1e-9)
+                    and np.abs(R_of(got) - ref_factors[i]).max() <= 1e-9)
     finally:
         sys.setswitchinterval(interval)
     assert (bad_models, bad_factors) == (0, 0)
@@ -425,7 +430,7 @@ def test_escalated_fit_matches_direct_fit_at_that_delta():
     direct = fit(X, esc.spec)
     assert direct.spec == esc.spec
     np.testing.assert_array_equal(esc.alpha, direct.alpha)
-    np.testing.assert_array_equal(esc.factor.packed, direct.factor.packed)
+    np.testing.assert_array_equal(packed_of(esc.factor), packed_of(direct.factor))
 
 
 def test_featureless_rows_fit_append_and_score():
@@ -699,3 +704,116 @@ def test_failed_rung_rebuilds_consumed_gram(monkeypatch, caplog):
     ref = oracles.fit_alpha(X, m.spec)
     cond = np.linalg.cond(oracles.gram(X, m.spec))
     assert np.abs(m.alpha - ref).max() <= 1e-12 * cond * np.abs(ref).max()
+
+
+def _theta(model):
+    return model.tails[2].buf[: model.n]
+
+
+def test_alpha_is_solved_on_first_read_only(monkeypatch):
+    # fit and appends leave the back substitution to the first read of
+    # alpha, which solves once and keeps the result
+    calls = []
+
+    def counting(factor, theta):
+        calls.append(factor.m)
+        return solve_upper(factor, theta)
+
+    monkeypatch.setattr(model_module, "solve_upper", counting)
+    rng = np.random.default_rng(40)
+    spec = KernelSpec(sigma=1.5, delta=1e-8)
+    m = fit(rng.standard_normal((20, 3)), spec)
+    for _ in range(5):
+        m = fit_incremental(m, rng.standard_normal((1, 3)))
+    m = fit_incremental(m, rng.standard_normal((4, 3)))
+    assert calls == []
+    first = m.alpha
+    assert m.alpha is first and calls == [29]
+    assert not first.flags.writeable
+    score_batch(m, rng.standard_normal((2, 3)))
+    assert calls == [29]
+
+
+@given(st.integers(0, 10**6), st.integers(1, 40), st.integers(1, 20))
+@settings(max_examples=25, deadline=None)
+def test_lazy_alpha_is_solve_upper_bit_for_bit(seed, n, m):
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec(sigma=1.5, delta=1e-8)
+    base = fit(rng.standard_normal((n, 4)), spec)
+    grown = fit_incremental(base, rng.standard_normal((m, 4)))
+    for model in (base, grown):
+        ref = solve_upper(model.factor, _theta(model).copy())
+        np.testing.assert_array_equal(model.alpha, ref)
+
+
+def test_chain_read_late_matches_each_batch_fit():
+    # the middle models are read only after the chain has grown past them
+    # and a branch has been appended to one of them: each still solves
+    # from its own prefix of theta
+    rng = np.random.default_rng(41)
+    spec = KernelSpec(sigma=1.5, delta=1e-8)
+    X = rng.standard_normal((60, 4))
+    chain = [fit(X[:20], spec)]
+    for lo, hi in ((20, 21), (21, 30), (30, 31), (31, 50)):
+        chain.append(fit_incremental(chain[-1], X[lo:hi]))
+    branch_rows = rng.standard_normal((3, 4))
+    branch = fit_incremental(chain[2], branch_rows)  # chain[2] is not the tip
+    tip = fit_incremental(chain[-1], X[50:])
+    for model in chain + [branch, tip]:
+        ref = fit(model.X_train, spec)
+        assert np.abs(model.alpha - ref.alpha).max() <= 1e-9
+    np.testing.assert_array_equal(branch.X_train, np.vstack([X[:30], branch_rows]))
+
+
+def test_two_threads_read_one_pending_alpha():
+    rng = np.random.default_rng(42)
+    spec = KernelSpec(sigma=4.0, delta=1e-8)
+    X = rng.standard_normal((300, 16))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            got = _race(lambda: fit_incremental(fit(X[:-1], spec), X[-1:]),
+                        lambda model, i: model.alpha, 2)
+            assert all(isinstance(a, np.ndarray) for a in got)
+            np.testing.assert_array_equal(got[0], got[1])
+    finally:
+        sys.setswitchinterval(interval)
+    ref = fit(X, spec)
+    assert np.abs(got[0] - ref.alpha).max() <= 1e-9
+
+
+def test_pending_model_replace_save_and_compare(tmp_path):
+    rng = np.random.default_rng(43)
+    spec = KernelSpec(sigma=1.2, delta=1e-8)
+    X = rng.standard_normal((12, 3))
+    pending = fit_incremental(fit(X[:10], spec), X[10:])
+    with_tau = replace(pending, tau=0.4)
+    assert with_tau.tau == 0.4 and with_tau.factor is pending.factor
+    np.testing.assert_array_equal(with_tau.alpha, pending.alpha)
+
+    pending = fit_incremental(fit(X[:10], spec), X[10:])
+    path = str(tmp_path / "m.bin")
+    save_model(pending, path)
+    back = load_model(path)
+    np.testing.assert_array_equal(back.alpha, pending.alpha)
+    np.testing.assert_array_equal(back.X_train, X)
+
+    pending = fit_incremental(fit(X[:10], spec), X[10:])
+    assert pending == pending
+    assert np.abs(pending.alpha - fit(X, spec).alpha).max() <= 1e-9
+
+
+def test_given_alpha_is_kept():
+    rng = np.random.default_rng(44)
+    m = fit(rng.standard_normal((6, 2)), KernelSpec(sigma=1.0, delta=1e-8))
+    own = np.arange(6.0)
+    for direct in (Model(m.X_train, own, m.nu, m.spec),
+                   Model(m.X_train, own, m.nu, m.spec, factor=m.factor, tails=m.tails)):
+        np.testing.assert_array_equal(direct.alpha, own)
+        assert not direct.alpha.flags.writeable
+    with pytest.raises(ValueError):
+        Model(m.X_train, None, m.nu, m.spec)
+    short = fit(m.X_train[:5], m.spec)
+    with pytest.raises(ValueError):
+        Model(m.X_train, None, m.nu, m.spec, factor=short.factor, tails=short.tails)
