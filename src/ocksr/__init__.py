@@ -16,7 +16,6 @@ from .dataset import DataFormatError, Dataset
 from .evaluation import bench_run
 from .kernel import KernelSpec, median_pairwise_distance
 from .model import (
-    Decision,
     ModelFormatError,
     calibrate_threshold,
     classify,
@@ -25,7 +24,6 @@ from .model import (
     fit_supervised,
     load_model,
     save_model,
-    score,
     score_batch,
 )
 
@@ -34,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DataFormatError",
     "Dataset",
-    "Decision",
     "KernelSpec",
     "ModelFormatError",
     "NotPositiveDefinite",
@@ -47,6 +44,5 @@ __all__ = [
     "load_model",
     "median_pairwise_distance",
     "save_model",
-    "score",
     "score_batch",
 ]

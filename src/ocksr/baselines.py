@@ -29,7 +29,7 @@ class EigenSolverDidNotConverge(RuntimeError):
 # k-means
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KMeansModel:
     centers: np.ndarray
 
@@ -79,7 +79,7 @@ def kmeans_score(model: KMeansModel, Z) -> np.ndarray:
 # k-nearest-neighbor distance ratio
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnnddModel:
     X: np.ndarray
     k: int
@@ -125,7 +125,7 @@ def knndd_score(model: KnnddModel, Z) -> np.ndarray:
 # kernel PCA reconstruction residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KpcaModel:
     X: np.ndarray
     spec: KernelSpec

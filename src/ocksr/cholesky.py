@@ -13,11 +13,14 @@ does both.
 
 R is held column-packed (BLAS upper packed layout), so appended columns
 are a contiguous write at the tail of the buffer and the per-row
-triangular solves run on the packed storage without copying.  The
-buffer is a ``_Tail`` with spare capacity, shared between a factor and
-its extensions: extending the newest factor appends in place, extending
-an older one copies first.  Factors are immutable values, and extending one
-factor from several threads at once is safe: one extension claims the
+triangular solves run on the packed storage without copying.  A factor
+also carries the forward substitution theta = R^-T b of the right-hand
+side it was built with, which bordering extends by the new rows' entries
+of b, so ``solve_upper`` needs nothing but the factor.  R and theta each
+live in a ``_Tail`` with spare capacity, shared between a factor and its
+extensions: extending the newest factor appends in place, extending an
+older one copies first.  Factors are immutable values, and extending one
+factor from several threads at once is safe: one extension claims each
 buffer's tip, the others copy.
 
 Matrices reach ``factor_batch`` from ``kernel.gram`` and the model's
@@ -94,16 +97,18 @@ class _Tail:
 class CholeskyFactor:
     """Upper-triangular factor R of a symmetric positive definite matrix.
 
-    R is the first m (m + 1) / 2 entries of a column-packed ``_Tail``;
-    instances never change after construction.  ``_max_diag`` tracks the
-    largest diagonal entry of the factored matrix, the scale of the
-    relative pivot tolerance.
+    R is the first m (m + 1) / 2 entries of a column-packed ``_Tail``,
+    and theta = R^-T b, for the right-hand side b the factor was built
+    with, the first m entries of a second one; instances never change
+    after construction.  ``_max_diag`` tracks the largest diagonal entry
+    of the factored matrix, the scale of the relative pivot tolerance.
     """
 
-    __slots__ = ("_tail", "_m", "_max_diag")
+    __slots__ = ("_tail", "_theta", "_m", "_max_diag")
 
-    def __init__(self, tail: _Tail, m: int, max_diag: float):
+    def __init__(self, tail: _Tail, theta: _Tail, m: int, max_diag: float):
         self._tail = tail
+        self._theta = theta
         self._m = m
         self._max_diag = max_diag
 
@@ -123,8 +128,7 @@ def _vector(v, n: int) -> np.ndarray:
     return v
 
 
-def factor_batch(K_rows, b, base: CholeskyFactor | None = None,
-                 theta=None) -> tuple[CholeskyFactor, np.ndarray]:
+def factor_batch(K_rows, b, base: CholeskyFactor | None = None) -> CholeskyFactor:
     """Border a factor of order n by a batch of m new rows of K = R^T R.
 
     ``K_rows`` holds the m new rows of K, shape (m, n + m), against the
@@ -139,12 +143,12 @@ def factor_batch(K_rows, b, base: CholeskyFactor | None = None,
     whether it succeeds or raises.  A batch on a C-ordered float64 K
     factors it in place; a caller that needs K again passes a copy.
 
-    The same call extends the forward substitution theta = R^-T b: given
-    ``theta``, the base's n entries, it returns the m new ones for the
-    new rows' right-hand side ``b``.
+    ``b`` holds the new rows' m entries of the right-hand side.  The same
+    call extends the forward substitution theta = R^-T b: the result
+    carries the base's theta followed by the m new entries.
 
     Returns:
-        (factor of order n + m, theta's m new entries).
+        The factor of order n + m.
 
     Raises:
         NotPositiveDefinite: with the 0-based index, counted from the
@@ -158,13 +162,9 @@ def factor_batch(K_rows, b, base: CholeskyFactor | None = None,
     if m < 1 or K_rows.shape[1] != n + m:
         raise ValueError(f"K_rows must have shape (m, {n} + m) with m >= 1")
     b = _vector(b, m)
-    if n:
-        if theta is None:
-            raise ValueError("bordering a base needs the base's theta")
-        theta = _vector(theta, n)
 
     if m == 1 and n:
-        return _border_row(K_rows[0], b[0], base, theta)
+        return _border_row(K_rows[0], b[0], base)
 
     lo = n * (n + 1) // 2
     # row j's floor uses the max diagonal up to row j, as bordering one
@@ -198,19 +198,19 @@ def factor_batch(K_rows, b, base: CholeskyFactor | None = None,
     if small.size or info > 0:
         raise NotPositiveDefinite(n + (int(small[0]) if small.size else done))
 
-    rhs = dgemv(-1.0, R12, theta, beta=1.0, y=b, trans=1) if n else b
+    rhs = dgemv(-1.0, R12, base._theta.buf[:n], beta=1.0, y=b, trans=1) if n else b
     packed = dtrttp(R22)[0]
-    theta_new = dtpsv(m, packed, rhs, lower=0, trans=1)
+    theta = dtpsv(m, packed, rhs, lower=0, trans=1)
     if n:
         # new column j of R is R12[:, j] over the top j + 1 entries of R22[:, j]
         packed = np.concatenate(
             [x for j in range(m) for x in (R12[:, j], R22[: j + 1, j])])
-    tail = (_Tail() if base is None else base._tail).extend(lo, packed)
-    return CholeskyFactor(tail, n + m, float(max_diag[-1])), theta_new
+    tail, thetas = (_Tail(), _Tail()) if base is None else (base._tail, base._theta)
+    return CholeskyFactor(tail.extend(lo, packed), thetas.extend(n, theta),
+                          n + m, float(max_diag[-1]))
 
 
-def _border_row(k: np.ndarray, b: float, base: CholeskyFactor,
-                theta: np.ndarray) -> tuple[CholeskyFactor, np.ndarray]:
+def _border_row(k: np.ndarray, b: float, base: CholeskyFactor) -> CholeskyFactor:
     """``factor_batch`` for one new row k of K onto a nonempty base.
 
     The new column is r = R11^-T k[:n], solved in place in the buffer
@@ -228,14 +228,18 @@ def _border_row(k: np.ndarray, b: float, base: CholeskyFactor,
     if not schur > PIVOT_EPS * max_diag:
         raise NotPositiveDefinite(n)
     column[n] = pivot = np.sqrt(schur)
-    theta_new = np.array([(b - ddot(r, theta)) / pivot])
-    return CholeskyFactor(base._tail.extend(lo, column), n + 1, max_diag), theta_new
+    theta = [(b - ddot(r, base._theta.buf[:n])) / pivot]
+    return CholeskyFactor(base._tail.extend(lo, column), base._theta.extend(n, theta),
+                          n + 1, max_diag)
 
 
-def solve_upper(factor: CholeskyFactor, theta) -> np.ndarray:
-    """Solve R alpha = theta by back substitution."""
+def solve_upper(factor: CholeskyFactor) -> np.ndarray:
+    """Solve R alpha = theta by back substitution.
+
+    alpha = K^-1 b for the right-hand side b the factor was built with.
+    """
     m = factor._m
-    return dtpsv(m, factor._tail.buf[: m * (m + 1) // 2], _vector(theta, m),
+    return dtpsv(m, factor._tail.buf[: m * (m + 1) // 2], factor._theta.buf[:m],
                  lower=0, trans=0)
 
 

@@ -30,6 +30,7 @@ from .model import (
     _check_rejection,
     _check_tau,
     calibrate_threshold,
+    classify,
     fit,
     fit_incremental,
     fit_supervised,
@@ -219,11 +220,10 @@ def _cmd_score(args) -> int:
 
     projections, novelties = score_batch(model, Z)
     lines = ["index,projection,novelty" + (",decision" if tau is not None else "")]
-    for i, (p, nov) in enumerate(zip(projections, novelties)):
-        row = f"{i},{p:.12g},{nov:.12g}"
-        if tau is not None:
-            row += "," + ("target" if nov <= tau else "outlier")
-        lines.append(row)
+    decisions = [""] * len(novelties) if tau is None else [
+        ",target" if target else ",outlier" for target in classify(novelties, tau)]
+    for i, (p, nov, decision) in enumerate(zip(projections, novelties, decisions)):
+        lines.append(f"{i},{p:.12g},{nov:.12g}{decision}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

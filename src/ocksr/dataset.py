@@ -19,7 +19,7 @@ class DataFormatError(ValueError):
     """Raised when an input file or array does not satisfy the data contract."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable feature matrix X (n, d) with labels in {0, 1} (1 = target)."""
 

@@ -7,6 +7,7 @@ counted one half.
 
 from __future__ import annotations
 
+import csv
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -230,7 +231,7 @@ def best_neighborhood(
 # rank aggregation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FriedmanResult:
     ranks: np.ndarray  # (n_datasets, n_methods), rank 1 = highest AUC
     average_ranks: np.ndarray
@@ -300,9 +301,17 @@ def bench_run(
     A failing (dataset, method) cell is recorded as missing with the
     exception that failed it.  With two or more methods, datasets with
     missing cells are excluded from the rank aggregation with a warning.
+
+    Raises:
+        ValueError: before any cell runs, for an unknown method or a
+            dataset name or method given twice.
     """
     for name in methods:
         make_scorer(name)  # an unknown name raises before any cell runs
+    for kind, names in (("dataset", [d.name for d in datasets]), ("method", methods)):
+        repeated = [x for i, x in enumerate(names) if x in names[:i]]
+        if repeated:
+            raise ValueError(f"{kind} {repeated[0]!r} is given more than once")
     cells: dict[str, dict[str, BenchCell]] = {}
     for ds in datasets:
         row: dict[str, BenchCell] = {}
@@ -350,21 +359,18 @@ def bench_run(
 
 def write_bench_csv(report: BenchReport, path: str) -> None:
     """One row per (dataset, method): mean, std, parameter, per-dataset rank."""
-    lines = ["dataset,method,mean_auc,std_auc,param,rank"]
+    rows = [["dataset", "method", "mean_auc", "std_auc", "param", "rank"]]
     for ds in report.datasets:
         for m in report.methods:
             cell = report.cells[ds][m]
             if cell.error is not None:
-                lines.append(f"{ds},{m},,,,")
+                rows.append([ds, m, "", "", "", ""])
                 continue
             rank = report.per_dataset_ranks.get(ds, {}).get(m)
-            lines.append(
-                f"{ds},{m},{cell.mean:.12g},{cell.std:.12g},"
-                f"{'' if cell.param is None else cell.param},"
-                f"{'' if rank is None else format(rank, 'g')}"
-            )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+            rows.append([ds, m, f"{cell.mean:.12g}", f"{cell.std:.12g}", cell.param,
+                         "" if rank is None else format(rank, "g")])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def write_ranks_csv(report: BenchReport, path: str) -> None:

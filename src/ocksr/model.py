@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import struct
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 import numpy as np
 
@@ -42,12 +41,7 @@ _MAGIC = b"OCKSR1"
 _RBF_CODE = 1
 
 
-class Decision(Enum):
-    TARGET = "target"
-    OUTLIER = "outlier"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Model:
     """Trained one-class model.
 
@@ -60,23 +54,24 @@ class Model:
     writable, and writing to them changes the model.  ``fit`` and
     ``load_model`` copy the rows they are given or read.
 
-    ``factor`` (the Cholesky factor R of the regularized Gram matrix)
-    and ``tails`` are in-memory caches that make appending m rows cost
-    m kernel rows and one bordering of the factor by those m rows.
-    ``tails`` holds three ``cholesky._Tail`` buffers: the rows,
-    flattened, with ``X_train`` a view of their prefix; their squared
-    norms; and theta = R^-T nu.
-    Models appended from one another share these buffers.  Neither cache
-    is serialized: the first append to a model without them (loaded, or
-    built directly) solves once over the stored and new rows.
+    ``factor`` (the Cholesky factor R of the regularized Gram matrix,
+    which carries theta = R^-T nu) and ``tails`` are in-memory caches
+    that make appending m rows cost m kernel rows and one bordering of
+    the factor by those m rows.  ``tails`` holds two ``cholesky._Tail``
+    buffers: the rows, flattened, with ``X_train`` a view of their
+    prefix; and their squared norms.  Models appended from one another
+    share these buffers and the factor's.  Neither cache is serialized:
+    the first append to a model without them (loaded, or built directly)
+    solves once over the stored and new rows.
 
     A model given its caches and ``alpha=None`` (as ``fit``,
     ``fit_supervised`` and ``fit_incremental`` build it) solves
     R alpha = theta the first time ``alpha`` is read and keeps the
-    result, so an append costs only its border.  theta's prefix in the
-    shared tail never changes, so a model read late, after its chain was
-    appended to or branched, still gets its own alpha.  A model given an
-    ``alpha`` keeps it.
+    result, so an append costs only its border.  A factor never changes,
+    so a model read late, after its chain was appended to or branched,
+    still gets its own alpha.  A model given an ``alpha`` keeps it.
+
+    Models compare and hash by identity.
     """
 
     X_train: np.ndarray
@@ -85,9 +80,8 @@ class Model:
     spec: KernelSpec
     n_neg: int = 0
     tau: float | None = None
-    factor: CholeskyFactor | None = field(default=None, repr=False, compare=False)
-    tails: tuple[_Tail, _Tail, _Tail] | None = field(
-        default=None, repr=False, compare=False)
+    factor: CholeskyFactor | None = field(default=None, repr=False)
+    tails: tuple[_Tail, _Tail] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         # views, so that freezing them leaves the caller's arrays writable
@@ -117,12 +111,11 @@ class Model:
 
     def __getattr__(self, name: str):
         # reached only for attributes the instance lacks: alpha, when it
-        # is still to be solved from the factor and theta's prefix
+        # is still to be solved from the factor
         if name != "alpha":
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        factor = self.factor
-        alpha = solve_upper(factor, self.tails[2].buf[: factor.m])
+        alpha = solve_upper(self.factor)
         alpha.setflags(write=False)
         # one atomic store: of two threads solving at once, both return
         # the array the first one stored
@@ -151,12 +144,11 @@ def _as_rows(X, d: int | None = None) -> np.ndarray:
 def _factor_with_ladder(
     X: np.ndarray, nu: np.ndarray, spec: KernelSpec,
     ladder: tuple[float, ...] = DELTA_LADDER,
-) -> tuple[CholeskyFactor, KernelSpec, np.ndarray]:
-    """Factor the Gram matrix, escalating delta on failure.
+) -> tuple[CholeskyFactor, KernelSpec]:
+    """Factor the Gram matrix against nu, escalating delta on failure.
 
-    Returns (factor, effective spec, theta) with theta = R^-T nu the
-    forward-substitution half of the solve: the back substitution is
-    left to the model's first read of alpha, and appends extend theta.
+    Returns (factor, effective spec).  The back substitution is left to
+    the model's first read of alpha.
     """
     deltas = [spec.delta] + [d for d in ladder if d > spec.delta]
     last: NotPositiveDefinite | None = None
@@ -164,7 +156,7 @@ def _factor_with_ladder(
         # factor_batch factors K in place, the one n x n array of the
         # fit, so a failed rung (rare) builds it again from the rows
         try:
-            factor, theta = factor_batch(gram(X, replace(spec, delta=delta)), nu)
+            factor = factor_batch(gram(X, replace(spec, delta=delta)), nu)
         except NotPositiveDefinite as exc:
             # without its traceback, which holds the consumed K
             last = exc.with_traceback(None)
@@ -176,21 +168,19 @@ def _factor_with_ladder(
         if delta != spec.delta:
             logger.warning("regularizer escalated from delta=%g to delta=%g",
                            spec.delta, delta)
-        return factor, replace(spec, delta=delta), theta
+        return factor, replace(spec, delta=delta)
     assert last is not None
     raise last
 
 
 def _with_caches(X: np.ndarray, nu: np.ndarray, spec: KernelSpec, n_neg: int,
-                 factor: CholeskyFactor, theta: np.ndarray,
-                 tau: float | None = None) -> Model:
-    """A model whose rows, row norms and theta live in fresh tails.
+                 factor: CholeskyFactor, tau: float | None = None) -> Model:
+    """A model whose rows and row norms live in fresh tails.
 
     Its alpha is solved when first read.
     """
     rows = _Tail().extend(0, X.ravel())
-    tails = (rows, _Tail().extend(0, np.einsum("ij,ij->i", X, X)),
-             _Tail().extend(0, theta))
+    tails = (rows, _Tail().extend(0, np.einsum("ij,ij->i", X, X)))
     return Model(rows.buf[: X.size].reshape(X.shape), None, nu, spec,
                  n_neg=n_neg, tau=tau, factor=factor, tails=tails)
 
@@ -204,8 +194,8 @@ def fit(X_pos, spec: KernelSpec) -> Model:
     """
     X = _as_rows(X_pos)
     nu = np.ones(X.shape[0])
-    factor, eff, theta = _factor_with_ladder(X, nu, spec)
-    return _with_caches(X, nu, eff, 0, factor, theta)
+    factor, eff = _factor_with_ladder(X, nu, spec)
+    return _with_caches(X, nu, eff, 0, factor)
 
 
 def fit_supervised(X_pos, X_neg, spec: KernelSpec) -> Model:
@@ -221,8 +211,8 @@ def fit_supervised(X_pos, X_neg, spec: KernelSpec) -> Model:
     X_neg = _as_rows(X_neg, X_pos.shape[1])
     X = np.vstack([X_pos, X_neg])
     nu = np.concatenate([np.ones(X_pos.shape[0]), np.zeros(X_neg.shape[0])])
-    factor, eff, theta = _factor_with_ladder(X, nu, spec)
-    return _with_caches(X, nu, eff, X_neg.shape[0], factor, theta)
+    factor, eff = _factor_with_ladder(X, nu, spec)
+    return _with_caches(X, nu, eff, X_neg.shape[0], factor)
 
 
 def fit_incremental(model: Model, X_new) -> Model:
@@ -230,7 +220,7 @@ def fit_incremental(model: Model, X_new) -> Model:
 
     The m new rows border the retained Cholesky factor by m rows and
     columns (triangular solves against the old factor, then an m x m
-    factorization) and extend the cached forward-substituted response
+    factorization) and extend the factor's forward-substituted response
     theta.  That is all an append costs: the enlarged coefficient vector
     is one back substitution away, made when ``alpha`` is first read.
     The result matches a batch fit on the concatenated rows.  Appended
@@ -252,11 +242,11 @@ def fit_incremental(model: Model, X_new) -> Model:
     nu = np.concatenate([model.nu, np.ones(X_new.shape[0])])
     if model.factor is None or model.tails is None:
         X = np.vstack([model.X_train, X_new])
-        factor, spec, theta = _factor_with_ladder(X, nu, model.spec, ladder=())
-        return _with_caches(X, nu, spec, model.n_neg, factor, theta, tau=model.tau)
+        factor, spec = _factor_with_ladder(X, nu, model.spec, ladder=())
+        return _with_caches(X, nu, spec, model.n_neg, factor, tau=model.tau)
 
     (n, d), m, spec = model.X_train.shape, X_new.shape[0], model.spec
-    rows, sq, theta = model.tails
+    rows, sq = model.tails
     sq_new = np.einsum("ij,ij->i", X_new, X_new)
     rows = rows.extend(n * d, X_new.ravel())
     sq = sq.extend(n, sq_new)
@@ -264,10 +254,9 @@ def fit_incremental(model: Model, X_new) -> Model:
     # the new rows of K, against every row; the rbf self-kernel is exactly 1
     K_rows = _rbf(_sq_dists(X_new, X, sq_new, sq.buf[: n + m]), spec.sigma)
     np.fill_diagonal(K_rows[:, n:], 1.0 + spec.delta)
-    factor, theta_new = factor_batch(K_rows, nu[n:], model.factor, theta.buf[:n])
-    theta = theta.extend(n, theta_new)
+    factor = factor_batch(K_rows, nu[n:], model.factor)
     return Model(X, None, nu, spec, n_neg=model.n_neg, tau=model.tau,
-                 factor=factor, tails=(rows, sq, theta))
+                 factor=factor, tails=(rows, sq))
 
 
 def score_batch(model: Model, Z) -> tuple[np.ndarray, np.ndarray]:
@@ -278,13 +267,6 @@ def score_batch(model: Model, Z) -> tuple[np.ndarray, np.ndarray]:
     """
     projections = kernel_cross(model.X_train, Z, model.spec) @ model.alpha
     return projections, np.abs(projections - TARGET_MEAN)
-
-
-def score(model: Model, z) -> tuple[float, float]:
-    """``score_batch`` for one probe z: (projection, novelty) as floats."""
-    z = np.asarray(z, dtype=np.float64).ravel()
-    projections, novelties = score_batch(model, z[None, :])
-    return float(projections[0]), float(novelties[0])
 
 
 def _check_tau(tau: float) -> float:
@@ -303,11 +285,12 @@ def _check_rejection(rate: float) -> float:
     return rate
 
 
-def classify(model: Model, z, tau: float) -> Decision:
-    """Threshold the novelty of z at tau (inclusive: novelty == tau is TARGET)."""
-    tau = _check_tau(tau)
-    _, novelty = score(model, z)
-    return Decision.TARGET if novelty <= tau else Decision.OUTLIER
+def classify(novelties, tau: float) -> np.ndarray:
+    """The threshold rule: True (target) where a novelty is at most tau.
+
+    The boundary is inclusive: a novelty equal to tau is a target.
+    """
+    return np.asarray(novelties) <= _check_tau(tau)
 
 
 def calibrate_threshold(X_pos, spec: KernelSpec, target_rejection: float) -> float:

@@ -2,8 +2,8 @@
 
 pytest puts this directory on ``sys.path``, so test modules import it
 as ``oracles``.  Nothing here is fast; each routine takes the plainest
-route to its answer.  ``R_of`` and ``packed_of`` show the tests a
-factor's storage, which the library itself never reads back.
+route to its answer.  ``R_of``, ``packed_of`` and ``theta_of`` show the
+tests a factor's storage, which the library itself never reads back.
 """
 
 import numpy as np
@@ -24,6 +24,13 @@ def R_of(factor) -> np.ndarray:
 def packed_of(factor) -> np.ndarray:
     """Read-only view of a ``CholeskyFactor``'s column-packed upper triangle."""
     view = factor._tail.buf[: factor.m * (factor.m + 1) // 2].view()
+    view.setflags(write=False)
+    return view
+
+
+def theta_of(factor) -> np.ndarray:
+    """Read-only view of a ``CholeskyFactor``'s theta = R^-T b."""
+    view = factor._theta.buf[: factor.m].view()
     view.setflags(write=False)
     return view
 

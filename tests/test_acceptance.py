@@ -31,7 +31,7 @@ from oracles import R_of, project_train
 
 def solve_spd(K, b):
     """Solve K x = b: factor K with theta = R^-T b, then back substitute."""
-    return solve_upper(*factor_batch(K, b))
+    return solve_upper(factor_batch(K, b))
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -117,18 +117,15 @@ def test_incremental_equals_batch():
         K = A @ A.T / n + 0.5 * np.eye(n)
         nu = np.ones(n)
         start = int(rng.integers(1, n))
-        f, theta = factor_batch(K[:start, :start].copy(), nu[:start])
+        f = factor_batch(K[:start, :start].copy(), nu[:start])
         m = start
         while m < n:  # arbitrary append schedule: one block per random chunk
             step = int(rng.integers(1, min(16, n - m) + 1))
-            f, theta_new = factor_batch(K[m: m + step, : m + step], nu[m: m + step],
-                                        f, theta)
-            theta = np.concatenate((theta, theta_new))
+            f = factor_batch(K[m: m + step, : m + step], nu[m: m + step], f)
             m += step
-        g, theta_batch = factor_batch(K, nu)
+        g = factor_batch(K, nu)
         worst_factor = max(worst_factor, float(np.abs(R_of(f) - R_of(g)).max()))
-        worst_alpha = max(worst_alpha, float(np.abs(
-            solve_upper(f, theta) - solve_upper(g, theta_batch)).max()))
+        worst_alpha = max(worst_alpha, float(np.abs(solve_upper(f) - solve_upper(g)).max()))
     elapsed = time.perf_counter() - t0
     ok = worst_alpha <= 1e-9 and worst_factor <= 1e-9 and elapsed < 60.0
     _report("incremental vs batch", ok,
@@ -144,7 +141,7 @@ def test_cholesky_reconstruction():
         n = int(rng.integers(1, 201))
         A = rng.standard_normal((n, n + 3))
         K = A @ A.T + 0.1 * np.eye(n)
-        R = R_of(factor_batch(K.copy(), np.ones(n))[0])
+        R = R_of(factor_batch(K.copy(), np.ones(n)))
         worst = max(worst, float(np.linalg.norm(R.T @ R - K) / np.linalg.norm(K)))
     ok = worst <= 1e-10
     _report("cholesky reconstruction", ok,

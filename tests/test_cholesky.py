@@ -11,7 +11,7 @@ from ocksr.cholesky import (
     solve_upper,
 )
 from ocksr.kernel import KernelSpec, gram, median_pairwise_distance
-from oracles import R_of, packed_of
+from oracles import R_of, packed_of, theta_of
 
 
 def _random_spd(rng, n, ridge=0.5):
@@ -21,12 +21,12 @@ def _random_spd(rng, n, ridge=0.5):
 
 def factor(K):
     """The factor of K, bordering no base."""
-    return factor_batch(K, np.zeros(len(K)))[0]
+    return factor_batch(K, np.zeros(len(K)))
 
 
 def solve_spd(K, b):
     """Solve K x = b: factor K with theta = R^-T b, then back substitute."""
-    return solve_upper(*factor_batch(K, b))
+    return solve_upper(factor_batch(K, b))
 
 
 def border_rows_one_by_one(K, b, start):
@@ -38,8 +38,9 @@ def border_rows_one_by_one(K, b, start):
     sqrt(k_jj - r.r) and theta's new entry (b_j - r.theta) / pivot.
     Returns the packed factor and theta = R^-T b.
     """
-    f, theta = factor_batch(K[:start, :start].copy(), b[:start])
-    packed, max_diag = packed_of(f).copy(), float(K.diagonal()[:start].max())
+    f = factor_batch(K[:start, :start].copy(), b[:start])
+    packed, theta = packed_of(f).copy(), theta_of(f).copy()
+    max_diag = float(K.diagonal()[:start].max())
     for j in range(start, K.shape[0]):
         r = dtpsv(j, packed, K[j, :j], lower=0, trans=1)
         max_diag = max(max_diag, K[j, j])
@@ -73,8 +74,8 @@ def test_indefinite_matrix_rejected():
     # a one-row-at-a-time chain reports it
     K = np.array([[1.0, 0.0, 0.0], [0.0, 1e-14, 1e-3], [0.0, 1e-3, 1.0]])
     b = np.ones(3)
-    f, theta = factor_batch(K[:1, :1].copy(), b[:1])
-    for call in (lambda: factor(K.copy()), lambda: factor_batch(K[1:], b[1:], f, theta),
+    f = factor_batch(K[:1, :1].copy(), b[:1])
+    for call in (lambda: factor(K.copy()), lambda: factor_batch(K[1:], b[1:], f),
                  lambda: border_rows_one_by_one(K, b, 1)):
         with pytest.raises(NotPositiveDefinite) as exc:
             call()
@@ -142,13 +143,13 @@ def test_factor_writes_only_into_K(seed, n, cut):
     rng = np.random.default_rng(seed)
     K, b = _random_spd(rng, n), rng.standard_normal(n)
     b_before = b.copy()
-    f, theta = factor_batch(K[:cut, :cut].copy(), b[:cut]) if cut else (None, None)
-    base = (packed_of(f).copy(), theta.copy()) if cut else None
-    g, _ = factor_batch(K[cut:].copy(), b[cut:], f, theta)
+    f = factor_batch(K[:cut, :cut].copy(), b[:cut]) if cut else None
+    base = (packed_of(f).copy(), theta_of(f).copy()) if cut else None
+    g = factor_batch(K[cut:].copy(), b[cut:], f)
     np.testing.assert_array_equal(b, b_before)
     if cut:
         np.testing.assert_array_equal(packed_of(f), base[0])
-        np.testing.assert_array_equal(theta, base[1])
+        np.testing.assert_array_equal(theta_of(f), base[1])
     R = R_of(g)
     assert np.linalg.norm(R.T @ R - K) / np.linalg.norm(K) <= 1e-10
 
@@ -180,8 +181,7 @@ def test_order_one_factor_cases():
 
 def _extend_one(f, k_new, k_diag):
     """Border f by one row: its kernel values k_new, then k_diag."""
-    return factor_batch(np.append(k_new, k_diag)[None, :], [1.0], f,
-                        np.ones(f.m))[0]
+    return factor_batch(np.append(k_new, k_diag)[None, :], [1.0], f)
 
 
 def test_extend_matches_batch_two_by_two():
@@ -206,11 +206,9 @@ def test_extend_length_mismatch():
     with pytest.raises(ValueError):
         _extend_one(f, np.ones(2), 1.0)  # one row of width 3, not 4
     with pytest.raises(ValueError):
-        factor_batch(np.eye(4)[3:], [1.0], f, np.ones(2))  # theta too short
+        factor_batch(np.eye(4)[3:], [1.0, 1.0], f)  # two entries of b for one row
     with pytest.raises(ValueError):
-        factor_batch(np.eye(4)[3:], [1.0], f)  # no theta for the base
-    with pytest.raises(ValueError):
-        factor_batch(np.eye(4)[2:], [1.0], f, np.ones(3))  # rows vs columns
+        factor_batch(np.eye(4)[2:], [1.0, 1.0], f)  # rows vs columns
 
 
 def test_extend_non_finite_rejected():
@@ -223,7 +221,7 @@ def test_extend_non_finite_rejected():
             rows = np.array([[0.1, 0.0, 1.0, 0.0], [0.0, 0.2, 0.3, 1.0]])
             rows[where] = bad
             with pytest.raises(NotPositiveDefinite):
-                factor_batch(rows, [1.0, 1.0], f, np.ones(2))
+                factor_batch(rows, [1.0, 1.0], f)
 
 
 @given(st.integers(0, 10**6), st.integers(2, 50), st.integers(1, 49))
@@ -233,10 +231,9 @@ def test_incremental_chain_matches_batch(seed, n, start):
     rng = np.random.default_rng(seed)
     K = _random_spd(rng, n)
     b = np.ones(n)
-    f, theta = factor_batch(K[:start, :start].copy(), b[:start])
+    f = factor_batch(K[:start, :start].copy(), b[:start])
     for m in range(start, n):
-        f, theta_new = factor_batch(K[m: m + 1, : m + 1], b[m: m + 1], f, theta)
-        theta = np.append(theta, theta_new)
+        f = factor_batch(K[m: m + 1, : m + 1], b[m: m + 1], f)
     g = factor(K)
     scale = max(1.0, float(np.abs(R_of(g)).max()))
     assert np.abs(R_of(f) - R_of(g)).max() <= 1e-9 * scale
@@ -253,19 +250,18 @@ def test_block_append_matches_row_chain_and_batch(seed, n, data, delta):
     spec = KernelSpec(sigma=0.5 * median_pairwise_distance(X), delta=delta)
     K, b = gram(X, spec), np.ones(n)
     start = data.draw(st.integers(1, n - 1), label="start")
-    f, theta = factor_batch(K[:start, :start].copy(), b[:start])
+    f = factor_batch(K[:start, :start].copy(), b[:start])
     lo = start
     while lo < n:  # a random chunk schedule
         hi = lo + data.draw(st.integers(1, n - lo), label="chunk")
         rows = K[lo:hi, :hi].copy()
         rows[np.triu_indices(hi - lo, lo + 1, hi)] = np.nan  # never read
-        f, theta_new = factor_batch(rows, b[lo:hi], f, theta)
-        theta = np.concatenate((theta, theta_new))
+        f = factor_batch(rows, b[lo:hi], f)
         lo = hi
-    g, theta_batch = factor_batch(K.copy(), b)
+    g = factor_batch(K.copy(), b)
     row_packed, row_theta = border_rows_one_by_one(K, b, start)
-    alpha = solve_upper(f, theta)
-    alpha_batch = solve_upper(g, theta_batch)
+    alpha = solve_upper(f)
+    alpha_batch = solve_upper(g)
     scale = max(1.0, float(np.abs(alpha_batch).max()))
     assert np.abs(packed_of(f) - packed_of(g)).max() <= 1e-9
     assert np.abs(row_packed - packed_of(g)).max() <= 1e-9
@@ -284,9 +280,9 @@ def test_duplicate_row_in_block_reports_its_global_index(j, twin):
     X = rng.standard_normal((n + m, 4))
     X[n + j] = X[twin]
     K, b = gram(X, KernelSpec(sigma=median_pairwise_distance(X))), np.ones(n + m)
-    f, theta = factor_batch(K[:n, :n], b[:n])
+    f = factor_batch(K[:n, :n], b[:n])
     with pytest.raises(NotPositiveDefinite) as block:
-        factor_batch(K[n:], b[n:], f, theta)
+        factor_batch(K[n:], b[n:], f)
     with pytest.raises(NotPositiveDefinite) as whole:
         factor(K.copy())
     with pytest.raises(NotPositiveDefinite) as one_by_one:
@@ -307,21 +303,20 @@ def test_fixed_chunks_match_row_chain_and_batch(chunk, delta):
     X = rng.standard_normal((n, 6))
     spec = KernelSpec(sigma=0.5 * median_pairwise_distance(X), delta=delta)
     K, b = gram(X, spec), np.ones(n)
-    f, theta = factor_batch(K[:start, :start].copy(), b[:start])
+    f = factor_batch(K[:start, :start].copy(), b[:start])
     for lo in range(start, n, chunk):
         hi = min(lo + chunk, n)
         rows = K[lo:hi, :hi].copy()
         rows[np.triu_indices(hi - lo, lo + 1, hi)] = np.nan  # never read
-        f, theta_new = factor_batch(rows, b[lo:hi], f, theta)
-        theta = np.concatenate((theta, theta_new))
-    g, theta_batch = factor_batch(K.copy(), b)
+        f = factor_batch(rows, b[lo:hi], f)
+    g = factor_batch(K.copy(), b)
     row_packed, row_theta = border_rows_one_by_one(K, b, start)
-    alpha_batch = solve_upper(g, theta_batch)
+    alpha_batch = solve_upper(g)
     scale = max(1.0, float(np.abs(alpha_batch).max()))
     assert np.abs(packed_of(f) - packed_of(g)).max() <= 1e-9
     assert np.abs(row_packed - packed_of(g)).max() <= 1e-9
-    assert np.abs(theta - row_theta).max() <= 1e-9 * scale
-    assert np.abs(solve_upper(f, theta) - alpha_batch).max() <= 1e-9 * scale
+    assert np.abs(theta_of(f) - row_theta).max() <= 1e-9 * scale
+    assert np.abs(solve_upper(f) - alpha_batch).max() <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("m", CHUNKS)
@@ -337,9 +332,9 @@ def test_duplicate_row_reports_its_global_index_at_every_block_size(m):
         X = rng.standard_normal((n + m, 4))
         X[n + j] = X[twin]
         K, b = gram(X, KernelSpec(sigma=median_pairwise_distance(X))), np.ones(n + m)
-        f, theta = factor_batch(K[:n, :n].copy(), b[:n])
+        f = factor_batch(K[:n, :n].copy(), b[:n])
         with pytest.raises(NotPositiveDefinite) as block:
-            factor_batch(K[n:].copy(), b[n:], f, theta)
+            factor_batch(K[n:].copy(), b[n:], f)
         with pytest.raises(NotPositiveDefinite) as one_by_one:
             border_rows_one_by_one(K, b, n)
         assert block.value.pivot_index == one_by_one.value.pivot_index == n + j
@@ -354,33 +349,33 @@ def test_duplicate_row_reports_its_global_index_at_every_block_size(m):
 def test_non_finite_in_read_block_never_factors(n, m, seed, entries):
     rng = np.random.default_rng(seed)
     K, b = _random_spd(rng, n + m), np.ones(n + m)
-    f, theta = factor_batch(K[:n, :n], b[:n])
+    f = factor_batch(K[:n, :n], b[:n])
     rows = K[n:].copy()
     for u, v, bad in entries:
         i = int(u * m)
         rows[i, int(v * (n + i))] = bad  # j <= n + i: the read triangle
     with pytest.raises(NotPositiveDefinite):
-        factor_batch(rows, b[n:], f, theta)
+        factor_batch(rows, b[n:], f)
 
 
 def test_solve_identity_factor():
     b = np.array([1.0, -2.0, 3.0, 0.5])
-    f, theta = factor_batch(np.eye(4), b)
-    np.testing.assert_array_equal(theta, b)
-    np.testing.assert_array_equal(solve_upper(f, b), b)
+    f = factor_batch(np.eye(4), b)
+    np.testing.assert_array_equal(theta_of(f), b)
+    np.testing.assert_array_equal(solve_upper(f), b)
 
 
 def test_solve_hand_two_by_two():
-    f, theta = factor_batch(np.array([[1.0, 0.5], [0.5, 1.0]]), [1.0, 1.0])
-    np.testing.assert_allclose(theta, [1.0, 0.5 / np.sqrt(0.75)], rtol=1e-14)
-    alpha = solve_upper(f, theta)
+    f = factor_batch(np.array([[1.0, 0.5], [0.5, 1.0]]), [1.0, 1.0])
+    np.testing.assert_allclose(theta_of(f), [1.0, 0.5 / np.sqrt(0.75)], rtol=1e-14)
+    alpha = solve_upper(f)
     np.testing.assert_allclose(alpha, [2.0 / 3.0, 2.0 / 3.0], rtol=1e-12)
 
 
 def test_solve_zero_rhs():
-    f, theta = factor_batch(_random_spd(np.random.default_rng(1), 6), np.zeros(6))
-    np.testing.assert_array_equal(theta, np.zeros(6))
-    np.testing.assert_array_equal(solve_upper(f, np.zeros(6)), np.zeros(6))
+    f = factor_batch(_random_spd(np.random.default_rng(1), 6), np.zeros(6))
+    np.testing.assert_array_equal(theta_of(f), np.zeros(6))
+    np.testing.assert_array_equal(solve_upper(f), np.zeros(6))
 
 
 def test_solve_does_not_mutate_rhs():
@@ -400,25 +395,25 @@ def test_solve_spd_matches_dense_solver(seed, n):
 
 
 def test_solve_length_mismatch():
-    f = factor(np.eye(3))
-    with pytest.raises(ValueError):
-        solve_upper(f, np.ones(4))
-    with pytest.raises(ValueError):
-        factor_batch(np.eye(3), np.ones(2))
+    # the right-hand side must have one entry per row of K
+    for b in (np.ones(2), np.ones(4)):
+        with pytest.raises(ValueError):
+            factor_batch(np.eye(3), b)
 
 
 def test_extending_old_factor_leaves_it_intact():
     rng = np.random.default_rng(3)
     K = _random_spd(rng, 52)
-    f0 = factor(K[:50, :50])
-    before = R_of(f0).copy()
+    f0 = factor_batch(K[:50, :50], rng.standard_normal(50))
+    before, theta_before = R_of(f0).copy(), theta_of(f0).copy()
     f1 = _extend_one(f0, K[50, :50], K[50, 50])
     f2 = _extend_one(f0, K[51, :50], K[51, 51])  # f0 is no longer the storage tip
-    np.testing.assert_array_equal(R_of(f0), before)
-    np.testing.assert_array_equal(R_of(f1)[:50, :50], before)
-    np.testing.assert_array_equal(R_of(f2)[:50, :50], before)
+    for f in (f0, f1, f2):
+        np.testing.assert_array_equal(R_of(f)[:50, :50], before)
+        np.testing.assert_array_equal(theta_of(f)[:50], theta_before)
     assert f1.m == f2.m == 51
     assert not np.array_equal(R_of(f1)[:, 50], R_of(f2)[:, 50])
+    assert theta_of(f1)[50] != theta_of(f2)[50]
 
 
 def test_long_extension_chain_regrows_storage():
@@ -483,7 +478,7 @@ def test_block_pivot_floor_is_the_running_max_diagonal():
     for rows, index in (([[0.0, tiny, 0.0], [0.0, 0.0, 1.0]], 1),
                         ([[0.0, 1e6, 0.0], [0.0, 0.0, 1e6 * PIVOT_EPS * 0.5]], 2)):
         with pytest.raises(NotPositiveDefinite) as exc:
-            factor_batch(np.array(rows), [1.0, 1.0], f, [1.0])
+            factor_batch(np.array(rows), [1.0, 1.0], f)
         assert exc.value.pivot_index == index
     # a small pivot clears its floor even when a later row's diagonal
     # would raise the floor above it

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import struct
@@ -41,24 +42,24 @@ def test_package_exports():
     assert ocksr.__version__
     # the names README documents at top level; the rest stay in their modules
     assert sorted(ocksr.__all__) == [
-        "DataFormatError", "Dataset", "Decision", "KernelSpec", "ModelFormatError",
+        "DataFormatError", "Dataset", "KernelSpec", "ModelFormatError",
         "NotPositiveDefinite", "bench_run", "calibrate_threshold", "classify", "fit",
         "fit_incremental", "fit_supervised", "load_model", "median_pairwise_distance",
-        "save_model", "score", "score_batch",
+        "save_model", "score_batch",
     ]
     for name in ocksr.__all__:
         assert getattr(ocksr, name).__module__.startswith("ocksr."), name
 
 
 def test_readme_quick_start_runs():
-    from ocksr import Decision
-
     text = README.read_text()
     fence = "```python\n"
     start = text.index(fence, text.index("## Quick start")) + len(fence)
     scope = {}
     exec(compile(text[start:text.index("```", start)], str(README), "exec"), scope)
-    assert isinstance(scope["decision"], Decision)
+    mask, novelties = scope["is_target"], scope["novelties"]
+    assert mask.dtype == bool and mask.shape == novelties.shape
+    np.testing.assert_array_equal(mask, novelties <= scope["tau"])
 
 
 def test_synth_writes_loadable_csv(tmp_path, capsys):
@@ -153,6 +154,25 @@ def test_score_decision_column_with_tau(tmp_path, capsys):
         assert parts[3] == ("target" if float(parts[2]) <= 1e-6 else "outlier")
         decisions.add(parts[3])
     assert decisions == {"target", "outlier"}
+
+
+def test_score_tau_boundary_is_inclusive(tmp_path, capsys):
+    # the decision column is classify's rule: a probe whose novelty equals
+    # tau is a target, and one ulp below its novelty it is an outlier
+    data, _ = _synth_csv(tmp_path, seed=6)
+    model_path = str(tmp_path / "m.bin")
+    main(["train", "--data", data, "--label-col", "0", "--no-normalize",
+          "--out", model_path, "--delta", "1e-8"])
+    _, novelties = score_batch(load_model(model_path), load_csv(data, 0).X)
+    i = int(np.argmax(novelties))
+    T = float(novelties[i])
+    assert T > 0.0
+    for tau, want in ((T, "target"), (float(np.nextafter(T, 0.0)), "outlier")):
+        capsys.readouterr()
+        assert main(["score", "--model", model_path, "--data", data, "--label-col",
+                     "0", "--no-normalize", "--tau", repr(tau)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1 + i].split(",")[3] == want
 
 
 def test_score_writes_file(tmp_path, capsys):
@@ -372,6 +392,35 @@ def test_bench_command_reports(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "average ranks:" in text
     assert "friedman chi_square=" in text
+
+
+def test_bench_repeated_dataset_or_method_exit_2(tmp_path, capsys):
+    a, _ = _synth_csv(tmp_path, name="a.csv", seed=12)
+    b, _ = _synth_csv(tmp_path, name="b.csv", seed=13)
+    out = str(tmp_path / "rep")
+    for data, methods, named in (([a, a, b], ["ocksr", "kmeans"], a),
+                                 ([a, b], ["ocksr", "kmeans", "kmeans"], "kmeans")):
+        argv = ["bench", "--label-col", "0", "--repeats", "2", "--out", out]
+        argv += [x for path in data for x in ("--data", path)]
+        argv += [x for m in methods for x in ("--method", m)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert repr(named) in captured.err and captured.out == ""
+    assert not os.path.exists(out + ".csv")
+
+
+def test_bench_csv_keeps_a_comma_in_the_dataset_name(tmp_path, capsys):
+    data, _ = _synth_csv(tmp_path, name="x,y.csv", seed=12)
+    out = str(tmp_path / "report")
+    assert main(["bench", "--data", data, "--label-col", "0", "--method", "ocksr",
+                 "--method", "kmeans", "--repeats", "2", "--k", "3",
+                 "--out", out]) == 0
+    capsys.readouterr()
+    with open(out + ".csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["dataset", "method", "mean_auc", "std_auc", "param", "rank"]
+    assert [row[:2] for row in rows[1:]] == [[data, "ocksr"], [data, "kmeans"]]
+    assert all(len(row) == 6 for row in rows)
 
 
 def test_bench_deterministic_outputs(tmp_path, capsys):

@@ -350,6 +350,24 @@ def test_bench_run_rejects_unknown_method():
         bench_run([ds], ["ocksr", "svdd"], repeats=1, base_seed=0)
 
 
+def test_bench_run_rejects_repeated_dataset_or_method(monkeypatch):
+    # Friedman would count a repeated dataset twice and rank a repeated
+    # method against itself; both are refused before any cell runs
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(ev, "repeated_aucs", no_cells)
+    monkeypatch.setattr(ev, "best_neighborhood", no_cells)
+    a = make_synthetic(10, 10, 3, 2.0, seed=11)
+    b = make_synthetic(10, 10, 3, 4.0, seed=12)
+    for datasets, methods, match in (
+            ([a, a, b], ["ocksr", "kmeans"], f"dataset '{a.name}'"),
+            ([a, b], ["ocksr", "kmeans", "kmeans"], "method 'kmeans'"),
+            ([a], ("knndd", "knndd"), "method 'knndd'")):
+        with pytest.raises(ValueError, match=match):
+            bench_run(datasets, methods, repeats=1, base_seed=0)
+
+
 def test_bench_run_failed_cell_recorded(monkeypatch):
     ds = make_synthetic(16, 16, 3, 4.0, seed=12)
     real = ev.repeated_aucs

@@ -7,8 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg.blas import dtpsv
 
 import ocksr.model as model_module
+from ocksr.baselines import kmeans_fit, knndd_fit, kpca_fit
 from ocksr.cholesky import (
     CholeskyFactor,
     NotPositiveDefinite,
@@ -16,10 +18,10 @@ from ocksr.cholesky import (
     solve_upper,
 )
 from ocksr.dataset import Dataset
+from ocksr.evaluation import friedman_test
 from ocksr.kernel import KernelSpec, gram, median_pairwise_distance
 from ocksr.model import (
     DELTA_LADDER,
-    Decision,
     Model,
     ModelFormatError,
     calibrate_threshold,
@@ -29,11 +31,10 @@ from ocksr.model import (
     fit_supervised,
     load_model,
     save_model,
-    score,
     score_batch,
 )
 import oracles
-from oracles import R_of, packed_of, project_train
+from oracles import R_of, packed_of, project_train, theta_of
 
 # distance at which the unit-bandwidth kernel equals exactly 1/2
 HALF_DIST = float(np.sqrt(2.0 * np.log(2.0)))
@@ -42,7 +43,7 @@ HALF_DIST = float(np.sqrt(2.0 * np.log(2.0)))
 def test_single_sample_weight_is_one():
     m = fit(np.array([[1.0, 2.0]]), KernelSpec(sigma=1.0))
     np.testing.assert_array_equal(m.alpha, [1.0])
-    p, nov = score(m, np.array([1.0, 2.0]))
+    (p,), (nov,) = score_batch(m, np.array([[1.0, 2.0]]))
     assert p == 1.0 and nov == 0.0
 
 
@@ -52,7 +53,7 @@ def test_two_point_hand_system():
     X = np.array([[0.0], [HALF_DIST]])
     m = fit(X, KernelSpec(sigma=1.0))
     np.testing.assert_allclose(m.alpha, [2.0 / 3.0, 2.0 / 3.0], rtol=1e-12)
-    p, nov = score(m, X[0])
+    (p,), (nov,) = score_batch(m, X[:1])
     assert p == pytest.approx(1.0, abs=1e-12)
     assert nov == pytest.approx(0.0, abs=1e-12)
 
@@ -60,7 +61,7 @@ def test_two_point_hand_system():
 def test_far_probe_has_novelty_one():
     rng = np.random.default_rng(0)
     m = fit(rng.standard_normal((10, 4)), KernelSpec(sigma=1.0))
-    p, nov = score(m, np.full(4, 1e3))
+    (p,), (nov,) = score_batch(m, np.full((1, 4), 1e3))
     assert abs(p) < 1e-12
     assert nov == pytest.approx(1.0, abs=1e-12)
 
@@ -200,16 +201,15 @@ def test_concurrent_appends_from_one_base_match_batch():
     K = gram(np.vstack([X, new]), spec)
     ones = np.ones(n + 1)
     ref_factors = [
-        R_of(factor_batch(K[np.r_[:n, n + i]][:, np.r_[:n, n + i]], ones)[0])
+        R_of(factor_batch(K[np.r_[:n, n + i]][:, np.r_[:n, n + i]], ones))
         for i in range(n_threads)]
-    theta = factor_batch(K[:n, :n], ones[:n])[1]
 
     def extend_model(base, i):
         return fit_incremental(base, new[i: i + 1])
 
     def extend_factor(base, i):
         row = np.append(K[n + i, :n], K[n + i, n + i])[None, :]
-        return factor_batch(row, ones[:1], base, theta)[0]
+        return factor_batch(row, ones[:1], base)
 
     bad_models = bad_factors = 0
     interval = sys.getswitchinterval()
@@ -223,7 +223,7 @@ def test_concurrent_appends_from_one_base_match_batch():
                     and np.array_equal(got.X_train[n], new[i])
                     and np.abs(got.alpha - refs[i].alpha).max() <= 1e-9)
             for i, got in enumerate(_race(
-                    lambda: factor_batch(K[:n, :n], ones[:n])[0],
+                    lambda: factor_batch(K[:n, :n], ones[:n]),
                     extend_factor, n_threads)):
                 bad_factors += not (
                     isinstance(got, CholeskyFactor)
@@ -253,19 +253,20 @@ def test_incremental_duplicate_row_rejected():
 
 def test_classify_threshold_inclusive():
     m = fit(np.array([[0.0], [HALF_DIST]]), KernelSpec(sigma=1.0))
-    z = np.array([10.0])
-    _, nov = score(m, z)
-    assert classify(m, z, nov) is Decision.TARGET  # boundary counts as target
-    assert classify(m, z, nov * 0.999) is Decision.OUTLIER
-    assert classify(m, m.X_train[0], 0.5) is Decision.TARGET
+    Z = np.array([[10.0], [0.0]])  # a far probe, then the first training row
+    _, nov = score_batch(m, Z)
+    assert classify(nov, nov[0])[0]  # boundary counts as target
+    assert not classify(nov, nov[0] * 0.999)[0]
+    assert classify(nov, 0.5)[1]
 
 
 def test_classify_tau_validation():
     m = fit(np.array([[0.0]]), KernelSpec())
+    _, nov = score_batch(m, np.array([[0.0]]))
     with pytest.raises(ValueError):
-        classify(m, np.array([0.0]), -0.1)
+        classify(nov, -0.1)
     with pytest.raises(ValueError):
-        classify(m, np.array([0.0]), float("nan"))
+        classify(nov, float("nan"))
 
 
 def test_score_batch_matches_scalar_score():
@@ -274,7 +275,7 @@ def test_score_batch_matches_scalar_score():
     Z = rng.standard_normal((6, 4))
     proj, nov = score_batch(m, Z)
     for i, z in enumerate(Z):
-        p, v = score(m, z)
+        (p,), (v,) = score_batch(m, z[None, :])
         assert p == pytest.approx(proj[i], rel=1e-12, abs=1e-15)
         assert v == pytest.approx(nov[i], rel=1e-12, abs=1e-15)
 
@@ -288,8 +289,8 @@ def test_permuting_training_rows_permutes_weights(seed):
     spec = KernelSpec(sigma=1.4, delta=1e-8)
     a, b = fit(X, spec), fit(X[perm], spec)
     assert np.abs(b.alpha - a.alpha[perm]).max() <= 1e-10
-    z = rng.standard_normal(5)
-    assert abs(score(a, z)[1] - score(b, z)[1]) <= 1e-10
+    z = rng.standard_normal((1, 5))
+    assert abs(score_batch(a, z)[1][0] - score_batch(b, z)[1][0]) <= 1e-10
 
 
 def test_projection_lipschitz_bound():
@@ -298,10 +299,10 @@ def test_projection_lipschitz_bound():
     # the kernel's slope along any ray peaks at exp(-1/2) / sigma
     L = float(np.abs(m.alpha).sum()) * np.exp(-0.5) / m.spec.sigma
     for _ in range(3):
-        z = rng.standard_normal(4)
-        eta = rng.standard_normal(4)
+        z = rng.standard_normal((1, 4))
+        eta = rng.standard_normal((1, 4))
         eta *= 1e-4 / np.linalg.norm(eta)
-        dp = abs(score(m, z + eta)[0] - score(m, z)[0])
+        dp = abs(score_batch(m, z + eta)[0][0] - score_batch(m, z)[0][0])
         assert dp <= L * float(np.linalg.norm(eta)) + 1e-4
 
 
@@ -313,7 +314,7 @@ def test_calibrate_rejection_zero_takes_max():
     held_out = []
     for i in range(12):
         keep = np.delete(np.arange(12), i)
-        held_out.append(score(fit(X[keep], spec), X[i])[1])
+        held_out.append(score_batch(fit(X[keep], spec), X[i: i + 1])[1][0])
     assert tau == pytest.approx(max(held_out), rel=1e-12)
 
 
@@ -323,7 +324,8 @@ def test_calibrate_hits_requested_rejection_rate():
     spec = KernelSpec(sigma=1.0, delta=1e-8)
     tau = calibrate_threshold(X, spec, 0.1)
     held_out = np.array([
-        score(fit(np.delete(X, i, axis=0), spec), X[i])[1] for i in range(60)
+        score_batch(fit(np.delete(X, i, axis=0), spec), X[i: i + 1])[1][0]
+        for i in range(60)
     ])
     frac = float((held_out > tau).mean())
     assert abs(frac - 0.1) <= 0.02
@@ -350,7 +352,7 @@ def _pinned_refit_tau(X, spec, target_rejection):
     for i in range(X.shape[0]):
         held_out = fit(np.delete(X, i, axis=0), pinned)
         assert held_out.spec.delta == pinned.delta
-        novelties.append(score(held_out, X[i])[1])
+        novelties.append(score_batch(held_out, X[i: i + 1])[1][0])
     return float(np.quantile(novelties, 1.0 - target_rejection))
 
 
@@ -641,6 +643,27 @@ def test_model_and_dataset_leave_caller_arrays_writable():
     assert np.shares_memory(model.X_train, X) and np.shares_memory(ds.X, X)
 
 
+def test_array_records_compare_and_hash_by_identity():
+    # field-wise == on array fields would raise; these records compare by
+    # identity, so == never raises and every one of them hashes
+    rng = np.random.default_rng(21)
+    X, spec = rng.standard_normal((12, 3)), KernelSpec(sigma=1.5, delta=1e-8)
+    labels = np.r_[np.ones(6, dtype=int), np.zeros(6, dtype=int)]
+    builders = [
+        lambda: fit(X, spec),
+        lambda: Dataset(X, labels),
+        lambda: kmeans_fit(X, 3, 0),
+        lambda: knndd_fit(X, 3),
+        lambda: kpca_fit(X, spec),
+        lambda: friedman_test([[0.9, 0.8], [0.7, 0.6]]),
+    ]
+    for build in builders:
+        a, b = build(), build()
+        assert (a == b) is False and a != b
+        assert a == a
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_fit_is_translation_invariant():
     # rows on a 2^-20 grid stay exact under every offset up to 1e9, and so
     # do the rows shifted by the first one: alpha is bit-identical.  On
@@ -706,18 +729,14 @@ def test_failed_rung_rebuilds_consumed_gram(monkeypatch, caplog):
     assert np.abs(m.alpha - ref).max() <= 1e-12 * cond * np.abs(ref).max()
 
 
-def _theta(model):
-    return model.tails[2].buf[: model.n]
-
-
 def test_alpha_is_solved_on_first_read_only(monkeypatch):
     # fit and appends leave the back substitution to the first read of
     # alpha, which solves once and keeps the result
     calls = []
 
-    def counting(factor, theta):
+    def counting(factor):
         calls.append(factor.m)
-        return solve_upper(factor, theta)
+        return solve_upper(factor)
 
     monkeypatch.setattr(model_module, "solve_upper", counting)
     rng = np.random.default_rng(40)
@@ -742,14 +761,16 @@ def test_lazy_alpha_is_solve_upper_bit_for_bit(seed, n, m):
     base = fit(rng.standard_normal((n, 4)), spec)
     grown = fit_incremental(base, rng.standard_normal((m, 4)))
     for model in (base, grown):
-        ref = solve_upper(model.factor, _theta(model).copy())
+        # back substitution on the factor's own packed R and theta
+        ref = dtpsv(model.n, packed_of(model.factor), theta_of(model.factor),
+                    lower=0, trans=0)
         np.testing.assert_array_equal(model.alpha, ref)
 
 
 def test_chain_read_late_matches_each_batch_fit():
     # the middle models are read only after the chain has grown past them
     # and a branch has been appended to one of them: each still solves
-    # from its own prefix of theta
+    # from its own factor's prefix of theta
     rng = np.random.default_rng(41)
     spec = KernelSpec(sigma=1.5, delta=1e-8)
     X = rng.standard_normal((60, 4))
