@@ -3,9 +3,9 @@
 
 An append of m rows borders the cached Cholesky factor of order n by m
 rows and columns instead of refactorizing: triangular solves against
-the old factor, then an m x m factorization.  With m = 1 that is O(n^2)
-against the refit's O(n^3), so the append's cost should stay a small
-fraction of the refit cost and shrink as n grows.
+the old factor, and one scalar pivot per row for a few rows.  With
+m = 1 that is O(n^2) against the refit's O(n^3), so the append's cost
+should stay a small fraction of the refit cost and shrink as n grows.
 
 The coefficients are solved (one more O(n^2) back substitution) when a
 model's ``alpha`` is first read.  The refit and the "append ms" column

@@ -4,12 +4,12 @@ Convention: K = R^T R with R upper triangular, no pivoting.  The fixed
 elimination order is what makes appending training rows cheap: bordering
 K by m new rows and columns appends m columns to R, and the existing
 factor is untouched.  The new columns are R12 = R11^-T K12 over
-R22 = chol(K22 - R12^T R12).  A few new rows solve for R12 one packed
-triangular solve (Level-2 ``dtpsv``) each; a block of rows unpacks R11
-once and solves for all of R12 in one Level-3 ``dtrsm``.  A single row
-is a scalar pivot, with no m x m factorization.  A batch factorization
-is the bordering of an empty factor, so one routine, ``factor_batch``,
-does both.
+R22 = chol(K22 - R12^T R12).  A border has two shapes: a few new rows
+border one at a time, each a scalar pivot with one packed triangular
+solve (Level-2 ``dtpsv``) for its column; a block of rows unpacks R11
+once, solves for all of R12 in one Level-3 ``dtrsm`` and factors R22
+with ``dpotrf``.  A batch factorization is the bordering of an empty
+factor, so one routine, ``factor_batch``, does both.
 
 R is held column-packed (BLAS upper packed layout), so appended columns
 are a contiguous write at the tail of the buffer and the per-row
@@ -46,10 +46,10 @@ from scipy.linalg.lapack import dpotrf, dtpttr, dtrtri, dtrttp
 # the factored matrix up to its row is treated as numerically zero.
 PIVOT_EPS = 1e-12
 
-# From this many new rows on, a border solves for R12 with one dtrsm
-# against R11 unpacked to dense (an n x n copy) instead of one packed
-# dtpsv per row.  Timed at n = 1000, 2000 and 3200, the two cross
-# between 8 and 12 rows (at n = 500, between 16 and 24).
+# From this many new rows on, a border solves R12 by one dtrsm against
+# R11 unpacked (an n x n copy), not one scalar pivot per row.  Timed at
+# n = 500 to 3200, the two cross between 8 and 16 rows (near 9 at
+# n = 1000, 11 at 2000, 15 at 500 and 3200).
 BLOCK_BORDER_ROWS = 12
 
 
@@ -147,6 +147,9 @@ def factor_batch(K_rows, b, base: CholeskyFactor | None = None) -> CholeskyFacto
     call extends the forward substitution theta = R^-T b: the result
     carries the base's theta followed by the m new entries.
 
+    Onto a nonempty base, fewer than ``BLOCK_BORDER_ROWS`` rows border as
+    m one-row calls would, bit for bit; more border as one block.
+
     Returns:
         The factor of order n + m.
 
@@ -163,8 +166,10 @@ def factor_batch(K_rows, b, base: CholeskyFactor | None = None) -> CholeskyFacto
         raise ValueError(f"K_rows must have shape (m, {n} + m) with m >= 1")
     b = _vector(b, m)
 
-    if m == 1 and n:
-        return _border_row(K_rows[0], b[0], base)
+    if n and m < BLOCK_BORDER_ROWS:
+        for i in range(m):
+            base = _border_row(K_rows[i, :n + i + 1], b[i], base)
+        return base
 
     lo = n * (n + 1) // 2
     # row j's floor uses the max diagonal up to row j, as bordering one
@@ -177,13 +182,7 @@ def factor_batch(K_rows, b, base: CholeskyFactor | None = None) -> CholeskyFacto
     # factors K_rows' own memory in place
     S = K_rows[:, n:].T
     if n:
-        if m < BLOCK_BORDER_ROWS:
-            R12 = np.empty((n, m), order="F")
-            for i in range(m):
-                R12[:, i] = dtpsv(n, base._tail.buf[:lo], K_rows[i, :n],
-                                  lower=0, trans=1)
-        else:
-            R12 = dtrsm(1.0, _unpack(base), K_rows[:, :n].T, lower=0, trans_a=1)
+        R12 = dtrsm(1.0, _unpack(base), K_rows[:, :n].T, lower=0, trans_a=1)
         S = dsyrk(-1.0, R12, beta=1.0, c=S, trans=1)
     # only R22's upper triangle is read below, so the other is left as is
     R22, info = dpotrf(S, lower=0, clean=0, overwrite_a=1)

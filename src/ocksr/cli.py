@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -26,7 +27,6 @@ from .dataset import (
 )
 from .kernel import KernelSpec, _resolve_sigma
 from .model import (
-    ModelFormatError,
     _check_rejection,
     _check_tau,
     calibrate_threshold,
@@ -281,6 +281,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # a dataset is named by its path as typed: one file must not rank twice
+    first: dict[str, int] = {}
+    for i, path in enumerate(args.data):
+        j = first.setdefault(os.path.realpath(path), i)
+        if j != i:
+            raise DataFormatError(f"{args.data[j]!r} and {path!r} name the same file")
     datasets = [
         _load_normalized(path, args.label_col, args.no_normalize)
         for path in args.data
@@ -322,13 +328,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DataFormatError, ModelFormatError, FileNotFoundError) as exc:
-        sys.stderr.write(f"data error: {exc}\n")
-        return EXIT_DATA
     except (NotPositiveDefinite, EigenSolverDidNotConverge) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return EXIT_DATA
     except RuntimeError as exc:

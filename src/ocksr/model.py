@@ -39,6 +39,8 @@ TARGET_MEAN = 1.0
 _MAGIC = b"OCKSR1"
 # The header's kernel family byte; the Gaussian kernel is the only family.
 _RBF_CODE = 1
+# OCKSR1 header: magic, family code, flags, sigma, delta, n, n_neg, d.
+_HEADER = struct.Struct("<6sBB d d QQQ")
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +49,7 @@ class Model:
 
     ``nu`` is the response vector the coefficients were solved against:
     1 for positive rows and 0 for negative rows, in the order the rows
-    are retained.  ``n_neg`` counts the negative rows.
+    are retained.  ``n_neg`` is the count of its zeros.
 
     A ``Model`` built directly shares memory with the arrays it is
     given: its fields are read-only views, the caller's arrays stay
@@ -78,7 +80,6 @@ class Model:
     alpha: np.ndarray | None
     nu: np.ndarray
     spec: KernelSpec
-    n_neg: int = 0
     tau: float | None = None
     factor: CholeskyFactor | None = field(default=None, repr=False)
     tails: tuple[_Tail, _Tail] | None = field(default=None, repr=False)
@@ -91,8 +92,6 @@ class Model:
             raise ValueError("X_train must be a nonempty 2-d array")
         if nu.shape[0] != X.shape[0]:
             raise ValueError("nu must have one entry per training row")
-        if not 0 <= self.n_neg <= X.shape[0]:
-            raise ValueError("n_neg out of range")
         if self.alpha is None:
             if self.factor is None or self.tails is None or self.factor.m != X.shape[0]:
                 raise ValueError("a model without alpha needs the factor of its rows")
@@ -120,6 +119,10 @@ class Model:
         # one atomic store: of two threads solving at once, both return
         # the array the first one stored
         return vars(self).setdefault("alpha", alpha)
+
+    @property
+    def n_neg(self) -> int:
+        return int(np.count_nonzero(self.nu == 0.0))
 
     @property
     def n(self) -> int:
@@ -173,7 +176,7 @@ def _factor_with_ladder(
     raise last
 
 
-def _with_caches(X: np.ndarray, nu: np.ndarray, spec: KernelSpec, n_neg: int,
+def _with_caches(X: np.ndarray, nu: np.ndarray, spec: KernelSpec,
                  factor: CholeskyFactor, tau: float | None = None) -> Model:
     """A model whose rows and row norms live in fresh tails.
 
@@ -182,7 +185,7 @@ def _with_caches(X: np.ndarray, nu: np.ndarray, spec: KernelSpec, n_neg: int,
     rows = _Tail().extend(0, X.ravel())
     tails = (rows, _Tail().extend(0, np.einsum("ij,ij->i", X, X)))
     return Model(rows.buf[: X.size].reshape(X.shape), None, nu, spec,
-                 n_neg=n_neg, tau=tau, factor=factor, tails=tails)
+                 tau=tau, factor=factor, tails=tails)
 
 
 def fit(X_pos, spec: KernelSpec) -> Model:
@@ -195,7 +198,7 @@ def fit(X_pos, spec: KernelSpec) -> Model:
     X = _as_rows(X_pos)
     nu = np.ones(X.shape[0])
     factor, eff = _factor_with_ladder(X, nu, spec)
-    return _with_caches(X, nu, eff, 0, factor)
+    return _with_caches(X, nu, eff, factor)
 
 
 def fit_supervised(X_pos, X_neg, spec: KernelSpec) -> Model:
@@ -212,20 +215,19 @@ def fit_supervised(X_pos, X_neg, spec: KernelSpec) -> Model:
     X = np.vstack([X_pos, X_neg])
     nu = np.concatenate([np.ones(X_pos.shape[0]), np.zeros(X_neg.shape[0])])
     factor, eff = _factor_with_ladder(X, nu, spec)
-    return _with_caches(X, nu, eff, X_neg.shape[0], factor)
+    return _with_caches(X, nu, eff, factor)
 
 
 def fit_incremental(model: Model, X_new) -> Model:
     """Append positive rows to a trained model, extending its factor.
 
     The m new rows border the retained Cholesky factor by m rows and
-    columns (triangular solves against the old factor, then an m x m
-    factorization) and extend the factor's forward-substituted response
-    theta.  That is all an append costs: the enlarged coefficient vector
-    is one back substitution away, made when ``alpha`` is first read.
-    The result matches a batch fit on the concatenated rows.  Appended
-    rows are always treated as positives; adding negatives requires a
-    refit.
+    columns (a scalar pivot per row, or for a block one triangular solve
+    and an m x m factorization) and extend the factor's theta = R^-T nu.
+    That is all an append costs: the enlarged coefficient vector is one
+    back substitution away, made when ``alpha`` is first read.  The
+    result matches a batch fit on the concatenated rows.  Appended rows
+    are always treated as positives; adding negatives requires a refit.
 
     A model without caches (loaded, or built directly) has no factor to
     extend: its stored and new rows are solved together once, in stored
@@ -243,7 +245,7 @@ def fit_incremental(model: Model, X_new) -> Model:
     if model.factor is None or model.tails is None:
         X = np.vstack([model.X_train, X_new])
         factor, spec = _factor_with_ladder(X, nu, model.spec, ladder=())
-        return _with_caches(X, nu, spec, model.n_neg, factor, tau=model.tau)
+        return _with_caches(X, nu, spec, factor, tau=model.tau)
 
     (n, d), m, spec = model.X_train.shape, X_new.shape[0], model.spec
     rows, sq = model.tails
@@ -255,8 +257,7 @@ def fit_incremental(model: Model, X_new) -> Model:
     K_rows = _rbf(_sq_dists(X_new, X, sq_new, sq.buf[: n + m]), spec.sigma)
     np.fill_diagonal(K_rows[:, n:], 1.0 + spec.delta)
     factor = factor_batch(K_rows, nu[n:], model.factor)
-    return Model(X, None, nu, spec, n_neg=model.n_neg, tau=model.tau,
-                 factor=factor, tails=(rows, sq))
+    return Model(X, None, nu, spec, tau=model.tau, factor=factor, tails=(rows, sq))
 
 
 def score_batch(model: Model, Z) -> tuple[np.ndarray, np.ndarray]:
@@ -334,15 +335,12 @@ def calibrate_threshold(X_pos, spec: KernelSpec, target_rejection: float) -> flo
 
 def _canonical_order(model: Model) -> Model:
     """Reorder rows positives-first so n_neg fully describes the response."""
-    if model.n_neg == 0:
+    negative = model.nu == 0.0
+    if (negative[:-1] <= negative[1:]).all():  # already positives first
         return model
-    expected = np.concatenate([np.ones(model.n - model.n_neg),
-                               np.zeros(model.n_neg)])
-    if np.array_equal(model.nu, expected):
-        return model
-    order = np.argsort(model.nu == 0.0, kind="stable")
+    order = np.argsort(negative, kind="stable")
     return Model(model.X_train[order], model.alpha[order], model.nu[order],
-                 model.spec, n_neg=model.n_neg, tau=model.tau)
+                 model.spec, tau=model.tau)
 
 
 def save_model(model: Model, path: str) -> None:
@@ -352,15 +350,16 @@ def save_model(model: Model, path: str) -> None:
     n, n_neg, d, optional tau, then X_train row-major and alpha, all
     reals as 64-bit IEEE little-endian.  Rows are stored positives first
     so the negative count recovers the response vector on load.
+
+    Raises:
+        ValueError: ``nu`` holds a value other than 0 or 1; no file is written.
     """
+    if not ((model.nu == 0.0) | (model.nu == 1.0)).all():
+        raise ValueError("OCKSR1 stores a response of 0s and 1s only")
     model = _canonical_order(model)
     flags = 1 if model.tau is not None else 0
-    header = struct.pack(
-        "<6sBB d d QQQ",
-        _MAGIC, _RBF_CODE, flags,
-        model.spec.sigma, model.spec.delta,
-        model.n, model.n_neg, model.d,
-    )
+    header = _HEADER.pack(_MAGIC, _RBF_CODE, flags, model.spec.sigma,
+                          model.spec.delta, model.n, model.n_neg, model.d)
     with open(path, "wb") as fh:
         fh.write(header)
         if model.tau is not None:
@@ -384,12 +383,9 @@ def load_model(path: str) -> Model:
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    head_fmt = "<6sBB d d QQQ"
-    head_size = struct.calcsize(head_fmt)
-    if len(blob) < head_size:
+    if len(blob) < _HEADER.size:
         raise ModelFormatError(f"{path}: truncated header")
-    magic, family_code, flags, sigma, delta, n, n_neg, d = struct.unpack_from(
-        head_fmt, blob)
+    magic, family_code, flags, sigma, delta, n, n_neg, d = _HEADER.unpack_from(blob)
     if magic != _MAGIC:
         raise ModelFormatError(f"{path}: bad magic {magic!r}")
     if family_code != _RBF_CODE:
@@ -400,7 +396,7 @@ def load_model(path: str) -> Model:
         raise ModelFormatError(f"{path}: {exc}") from None
     if n < 1 or n_neg > n:
         raise ModelFormatError(f"{path}: {n} rows, {n_neg} of them negative")
-    offset = head_size
+    offset = _HEADER.size
     tau = None
     if flags & 1:
         if len(blob) < offset + 8:
@@ -422,4 +418,4 @@ def load_model(path: str) -> Model:
     if tau is not None and not 0.0 <= tau < np.inf:
         raise ModelFormatError(f"{path}: negative or non-finite threshold {tau!r}")
     nu = np.concatenate([np.ones(n - n_neg), np.zeros(n_neg)])
-    return Model(X, alpha, nu, spec, n_neg=n_neg, tau=tau)
+    return Model(X, alpha, nu, spec, tau=tau)

@@ -291,7 +291,7 @@ def test_duplicate_row_in_block_reports_its_global_index(j, twin):
             == one_by_one.value.pivot_index == n + j)
 
 
-# chunk sizes on both sides of the switch from per-row solves to one dtrsm
+# chunk sizes on both sides of the switch from scalar pivots to one dtrsm
 CHUNKS = (1, 2, BLOCK_BORDER_ROWS - 1, BLOCK_BORDER_ROWS, BLOCK_BORDER_ROWS + 1, 64)
 
 
@@ -322,7 +322,7 @@ def test_fixed_chunks_match_row_chain_and_batch(chunk, delta):
 @pytest.mark.parametrize("m", CHUNKS)
 def test_duplicate_row_reports_its_global_index_at_every_block_size(m):
     # a repeated row inside a block of any size fails at its own pivot,
-    # counted from K's first row, on the per-row and the dtrsm path alike
+    # counted from K's first row, on the scalar-pivot and the dtrsm path alike
     rng = np.random.default_rng(32)
     n = 20
     cases = [(m - 1, 3)]  # the last block row repeats a base row
@@ -338,6 +338,45 @@ def test_duplicate_row_reports_its_global_index_at_every_block_size(m):
         with pytest.raises(NotPositiveDefinite) as one_by_one:
             border_rows_one_by_one(K, b, n)
         assert block.value.pivot_index == one_by_one.value.pivot_index == n + j
+
+
+@pytest.mark.parametrize("m", [m for m in CHUNKS if m < BLOCK_BORDER_ROWS])
+def test_small_border_equals_one_row_calls_bit_for_bit(m):
+    # below the block size, m rows border as m scalar pivots
+    rng = np.random.default_rng(33)
+    n = 200
+    X = rng.standard_normal((n + m, 6))
+    K = gram(X, KernelSpec(sigma=median_pairwise_distance(X), delta=1e-8))
+    b = rng.standard_normal(n + m)
+    f = factor_batch(K[:n, :n].copy(), b[:n])
+    block = factor_batch(K[n:].copy(), b[n:], f)
+    chain = f
+    for j in range(n, n + m):
+        chain = factor_batch(K[j: j + 1, : j + 1].copy(), b[j: j + 1], chain)
+    np.testing.assert_array_equal(packed_of(block), packed_of(chain))
+    np.testing.assert_array_equal(theta_of(block), theta_of(chain))
+
+
+def test_failed_small_border_leaves_its_base_extendable():
+    # the chain borders two rows, claiming the tails' tips, before the
+    # third row's pivot fails; the base must still extend as a value
+    rng = np.random.default_rng(34)
+    n, m = 20, BLOCK_BORDER_ROWS - 1
+    X = rng.standard_normal((n + m, 4))
+    X[n + 2] = X[3]
+    K = gram(X, KernelSpec(sigma=median_pairwise_distance(X)))
+    b = np.ones(n + m)
+    f = factor_batch(K[:n, :n].copy(), b[:n])
+    before, theta_before = packed_of(f).copy(), theta_of(f).copy()
+    with pytest.raises(NotPositiveDefinite) as exc:
+        factor_batch(K[n:].copy(), b[n:], f)
+    assert exc.value.pivot_index == n + 2
+    np.testing.assert_array_equal(packed_of(f), before)
+    np.testing.assert_array_equal(theta_of(f), theta_before)
+    grown = factor_batch(K[n: n + 2, : n + 2].copy(), b[n: n + 2], f)
+    batch = factor_batch(K[: n + 2, : n + 2].copy(), b[: n + 2])
+    assert np.abs(packed_of(grown) - packed_of(batch)).max() <= 1e-9
+    assert np.abs(theta_of(grown) - theta_of(batch)).max() <= 1e-9
 
 
 @given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 10**6),

@@ -398,7 +398,9 @@ def test_bench_repeated_dataset_or_method_exit_2(tmp_path, capsys):
     a, _ = _synth_csv(tmp_path, name="a.csv", seed=12)
     b, _ = _synth_csv(tmp_path, name="b.csv", seed=13)
     out = str(tmp_path / "rep")
+    dot_a = os.path.join(os.path.dirname(a), ".", os.path.basename(a))
     for data, methods, named in (([a, a, b], ["ocksr", "kmeans"], a),
+                                 ([a, dot_a], ["ocksr", "kmeans"], dot_a),
                                  ([a, b], ["ocksr", "kmeans", "kmeans"], "kmeans")):
         argv = ["bench", "--label-col", "0", "--repeats", "2", "--out", out]
         argv += [x for path in data for x in ("--data", path)]

@@ -471,7 +471,7 @@ def test_save_load_with_tau_and_negatives(tmp_path):
     m = fit_supervised(rng.standard_normal((6, 3)),
                        rng.standard_normal((3, 3)) + 2.0,
                        KernelSpec(sigma=1.0, delta=1e-8))
-    m = Model(m.X_train, m.alpha, m.nu, m.spec, n_neg=m.n_neg, tau=0.25)
+    m = Model(m.X_train, m.alpha, m.nu, m.spec, tau=0.25)
     path = str(tmp_path / "m.bin")
     save_model(m, path)
     back = load_model(path)
@@ -493,6 +493,28 @@ def test_save_reorders_rows_positives_first(tmp_path):
     Z = rng.standard_normal((6, 3))
     np.testing.assert_allclose(score_batch(back, Z)[1], score_batch(m, Z)[1],
                                rtol=0, atol=1e-12)
+
+
+def test_n_neg_is_the_zero_count_of_nu(tmp_path):
+    rng = np.random.default_rng(18)
+    spec = KernelSpec(sigma=1.0, delta=1e-8)
+    pos, neg = rng.standard_normal((7, 3)), rng.standard_normal((3, 3)) + 2.0
+    supervised = fit_supervised(pos, neg, spec)
+    grown = fit_incremental(supervised, rng.standard_normal((2, 3)))
+    path = str(tmp_path / "m.bin")
+    save_model(grown, path)
+    for model, count in ((fit(pos, spec), 0), (supervised, 3), (grown, 3),
+                         (load_model(path), 3)):
+        assert model.n_neg == count == np.count_nonzero(model.nu == 0.0)
+
+
+def test_save_refuses_a_response_other_than_zeros_and_ones(tmp_path):
+    # OCKSR1 stores the response as a count of negative rows
+    m = fit(np.random.default_rng(19).standard_normal((4, 2)), KernelSpec(sigma=1.0))
+    path = tmp_path / "m.bin"
+    with pytest.raises(ValueError, match="0s and 1s"):
+        save_model(Model(m.X_train, m.alpha, [1.0, 0.5, 1.0, 0.0], m.spec), str(path))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -601,7 +623,7 @@ def test_append_without_caches_solves_once_at_stored_delta(tmp_path, monkeypatch
         return factor_batch(K_rows, *args)
 
     monkeypatch.setattr(model_module, "factor_batch", counting)
-    direct = Model(base.X_train, base.alpha, base.nu, base.spec, n_neg=4)
+    direct = Model(base.X_train, base.alpha, base.nu, base.spec)
     for source in (load_model(path), direct):
         inc = fit_incremental(source, extra)
         nu = np.concatenate([np.ones(12), np.zeros(4), np.ones(5)])
@@ -622,8 +644,8 @@ def test_append_without_caches_solves_once_at_stored_delta(tmp_path, monkeypatch
 def test_model_validation():
     with pytest.raises(ValueError):
         Model(np.zeros((2, 2)), np.zeros(3), np.ones(2), KernelSpec())
-    with pytest.raises(ValueError):
-        Model(np.zeros((2, 2)), np.zeros(2), np.ones(2), KernelSpec(), n_neg=5)
+    with pytest.raises(TypeError):  # the count is read from nu
+        Model(np.zeros((2, 2)), np.zeros(2), np.ones(2), KernelSpec(), n_neg=1)
 
 
 def test_model_and_dataset_leave_caller_arrays_writable():
