@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .kernel import KernelSpec, _sq_dists, gram, kernel_cross
 
@@ -72,6 +71,8 @@ def kmeans_fit(X_pos, k: int, seed: int) -> KMeansModel:
 
 def kmeans_score(model: KMeansModel, Z) -> np.ndarray:
     """Distance from each probe row of Z to its nearest center."""
+    from scipy.spatial.distance import cdist  # here, so importing ocksr skips it
+
     return cdist(Z, model.centers).min(axis=1)
 
 
@@ -111,6 +112,8 @@ def knndd_score(model: KnnddModel, Z) -> np.ndarray:
     scores near 1, a probe on a training row scores 0.  A zero
     denominator gives 0 for a zero numerator and inf otherwise.
     """
+    from scipy.spatial.distance import cdist  # here, so importing ocksr skips it
+
     dists = cdist(Z, model.X)
     rows = np.arange(dists.shape[0])
     j = np.argsort(dists, axis=1, kind="stable")[:, model.k - 1]

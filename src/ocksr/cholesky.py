@@ -93,6 +93,12 @@ class _Tail:
         tail.buf[used:n] = values
         return tail
 
+    def release(self, used: int, tip: int) -> None:
+        """Give the entries past ``used`` back if ``tip`` is still the tip."""
+        with self._lock:
+            if self.tip == tip:
+                self.tip = used
+
 
 class CholeskyFactor:
     """Upper-triangular factor R of a symmetric positive definite matrix.
@@ -167,9 +173,18 @@ def factor_batch(K_rows, b, base: CholeskyFactor | None = None) -> CholeskyFacto
     b = _vector(b, m)
 
     if n and m < BLOCK_BORDER_ROWS:
-        for i in range(m):
-            base = _border_row(K_rows[i, :n + i + 1], b[i], base)
-        return base
+        chain = [base]
+        try:
+            for i in range(m):
+                chain.append(_border_row(K_rows[i, :n + i + 1], b[i], chain[-1]))
+        except NotPositiveDefinite:
+            # the rows before the failed one claimed the tails' tips; give
+            # them back, newest first, so that the base extends in place
+            for f, prev in zip(chain[:0:-1], chain[-2::-1]):
+                f._tail.release(prev._m * (prev._m + 1) // 2, f._m * (f._m + 1) // 2)
+                f._theta.release(prev._m, f._m)
+            raise
+        return chain[-1]
 
     lo = n * (n + 1) // 2
     # row j's floor uses the max diagonal up to row j, as bordering one

@@ -68,45 +68,71 @@ def _parse_float(token: str) -> float | None:
         return None
 
 
-def _parse_csv(path: str) -> tuple[np.ndarray, list[list[str]], int]:
+def _rows(path: str) -> list[list[str]]:
+    """The file's non-empty rows as ``csv.reader`` reads them.
+
+    Only the error paths read a file this way, to name a bad field.
+    """
+    with open(path, newline="") as fh:
+        return [row for row in csv.reader(fh) if row]
+
+
+def _bad_field(path: str, start: int) -> str | None:
+    """The message for the first ragged row or non-numeric field, if any.
+
+    Lines count the non-empty rows; ``start`` is that of the first data
+    row.
+    """
+    rows = _rows(path)[start - 1:]
+    width = len(rows[0])
+    for i, row in enumerate(rows, start=start):
+        if len(row) != width:
+            return f"{path}: ragged row at line {i}"
+        for j, tok in enumerate(row):
+            if _parse_float(tok) is None:
+                return f"{path}: non-numeric value {tok!r} at line {i}, column {j}"
+    return None
+
+
+def _parse_csv(path: str) -> tuple[np.ndarray, int]:
     """Parse a numeric CSV file with an optional header row.
 
-    Every value must parse to a finite real.  Returns the matrix, the
-    data rows as read, and the line number of the first data row, so
-    callers can point at the offending field.
+    The header is the first non-empty row if any of its fields is not a
+    number.  numpy's C reader reads the rest, so every field must be a
+    decimal real that it parses, optionally double-quoted, and finite;
+    no line is a comment.  Returns the matrix and the line number of its
+    first row, counting non-empty rows, so callers can point at an
+    offending field.
     """
     try:
         with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            rows = (row for row in reader if row)
+            first = next(rows, None)
+            if first is None:
+                raise DataFormatError(f"{path}: no rows")
+            header = any(_parse_float(tok) is None for tok in first)
+            skip = reader.line_num if header else 0
+            if header and next(rows, None) is None:
+                raise DataFormatError(f"{path}: no rows after header")
     except FileNotFoundError as exc:
         raise DataFormatError(f"no such file: {path}") from exc
-    if not rows:
-        raise DataFormatError(f"{path}: no rows")
-    start = 1 if any(_parse_float(tok) is None for tok in rows[0]) else 0
-    if start == len(rows):
-        raise DataFormatError(f"{path}: no rows after header")
-    rows = rows[start:]
-    width = len(rows[0])
-    out = []
-    for i, row in enumerate(rows, start=start + 1):
-        if len(row) != width:
-            raise DataFormatError(f"{path}: ragged row at line {i}")
-        parsed = [_parse_float(tok) for tok in row]
-        if None in parsed:
-            j = parsed.index(None)
-            raise DataFormatError(
-                f"{path}: non-numeric value {row[j]!r} at line {i}, column {j}"
-            )
-        out.append(parsed)
-    M = np.array(out, dtype=np.float64).reshape(len(out), width)
+    start = 2 if header else 1
+    try:
+        M = np.loadtxt(path, delimiter=",", comments=None, quotechar='"',
+                       skiprows=skip, ndmin=2)
+    except ValueError as exc:
+        # fields only Python's float reads (2_0, non-ASCII digits) pass
+        # the token pass and keep numpy's message
+        raise DataFormatError(_bad_field(path, start) or f"{path}: {exc}") from None
     finite = np.isfinite(M)
     if not finite.all():
         r, j = np.argwhere(~finite)[0]
         raise DataFormatError(
-            f"{path}: non-finite value {rows[r][j]!r} at line {start + 1 + r}, "
-            f"column {j}"
+            f"{path}: non-finite value {_rows(path)[start - 1 + r][j]!r} at line "
+            f"{start + r}, column {j}"
         )
-    return M, rows, start + 1
+    return M, start
 
 
 def load_csv(path: str, label_column: int) -> Dataset:
@@ -125,7 +151,7 @@ def load_csv(path: str, label_column: int) -> Dataset:
         DataFormatError: empty file, ragged rows, non-numeric or
             non-finite values, or labels outside {0, 1}.
     """
-    M, rows, first_line = _parse_csv(path)
+    M, start = _parse_csv(path)
     width = M.shape[1]
     if not 0 <= label_column < width:
         raise DataFormatError(
@@ -136,8 +162,8 @@ def load_csv(path: str, label_column: int) -> Dataset:
     if bad.size:
         r = int(bad[0])
         raise DataFormatError(
-            f"{path}: invalid label {rows[r][label_column]!r} at line "
-            f"{first_line + r} (must be 0 or 1)"
+            f"{path}: invalid label {_rows(path)[start - 1 + r][label_column]!r} at "
+            f"line {start + r} (must be 0 or 1)"
         )
     return Dataset(np.delete(M, label_column, axis=1), labels.astype(np.int64),
                    name=path)

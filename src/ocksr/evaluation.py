@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc
 
 from . import baselines, model as ocksr_model
 from .dataset import Dataset, random_split
@@ -248,6 +247,8 @@ def friedman_test(auc_table) -> FriedmanResult:
     distribution, evaluated through the regularized incomplete gamma
     function.
     """
+    from scipy.special import gammaincc  # here, so importing ocksr skips it
+
     table = np.atleast_2d(np.asarray(auc_table, dtype=np.float64))
     if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 2:
         raise ValueError("need at least 1 dataset and 2 methods")

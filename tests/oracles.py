@@ -4,13 +4,18 @@ pytest puts this directory on ``sys.path``, so test modules import it
 as ``oracles``.  Nothing here is fast; each routine takes the plainest
 route to its answer.  ``R_of``, ``packed_of`` and ``theta_of`` show the
 tests a factor's storage, which the library itself never reads back.
+``parse_csv`` and ``load_csv`` are the token-by-token CSV reader the
+library's numpy-backed one must agree with.
 """
+
+import csv
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from ocksr.cholesky import _unpack
+from ocksr.dataset import DataFormatError
 from ocksr.kernel import KernelSpec, kernel_cross
 
 
@@ -60,3 +65,71 @@ def fit_alpha(X, spec: KernelSpec, nu=None) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     nu = np.ones(X.shape[0]) if nu is None else nu
     return cho_solve(cho_factor(gram(X, spec)), nu)
+
+
+def _parse_float(token: str) -> float | None:
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def parse_csv(path: str) -> tuple[np.ndarray, list[list[str]], int]:
+    """A numeric CSV with an optional header row, one Python ``float`` per field.
+
+    ``csv.reader`` splits the non-empty rows; the first is a header if
+    any of its fields is not a number.  Every value must parse to a
+    finite real.  Returns the matrix, the data rows as read, and the
+    line number of the first data row, lines counting non-empty rows.
+    """
+    try:
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except FileNotFoundError as exc:
+        raise DataFormatError(f"no such file: {path}") from exc
+    if not rows:
+        raise DataFormatError(f"{path}: no rows")
+    start = 1 if any(_parse_float(tok) is None for tok in rows[0]) else 0
+    if start == len(rows):
+        raise DataFormatError(f"{path}: no rows after header")
+    rows = rows[start:]
+    width = len(rows[0])
+    out = []
+    for i, row in enumerate(rows, start=start + 1):
+        if len(row) != width:
+            raise DataFormatError(f"{path}: ragged row at line {i}")
+        parsed = [_parse_float(tok) for tok in row]
+        if None in parsed:
+            j = parsed.index(None)
+            raise DataFormatError(
+                f"{path}: non-numeric value {row[j]!r} at line {i}, column {j}"
+            )
+        out.append(parsed)
+    M = np.array(out, dtype=np.float64).reshape(len(out), width)
+    finite = np.isfinite(M)
+    if not finite.all():
+        r, j = np.argwhere(~finite)[0]
+        raise DataFormatError(
+            f"{path}: non-finite value {rows[r][j]!r} at line {start + 1 + r}, "
+            f"column {j}"
+        )
+    return M, rows, start + 1
+
+
+def load_csv(path: str, label_column: int) -> tuple[np.ndarray, np.ndarray]:
+    """(X, labels) of a labeled CSV through ``parse_csv``, labels in {0, 1}."""
+    M, rows, first_line = parse_csv(path)
+    width = M.shape[1]
+    if not 0 <= label_column < width:
+        raise DataFormatError(
+            f"{path}: label column {label_column} out of range for {width} columns"
+        )
+    labels = M[:, label_column]
+    bad = np.flatnonzero((labels != 0.0) & (labels != 1.0))
+    if bad.size:
+        r = int(bad[0])
+        raise DataFormatError(
+            f"{path}: invalid label {rows[r][label_column]!r} at line "
+            f"{first_line + r} (must be 0 or 1)"
+        )
+    return np.delete(M, label_column, axis=1), labels.astype(np.int64)

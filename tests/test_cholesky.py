@@ -374,6 +374,9 @@ def test_failed_small_border_leaves_its_base_extendable():
     np.testing.assert_array_equal(packed_of(f), before)
     np.testing.assert_array_equal(theta_of(f), theta_before)
     grown = factor_batch(K[n: n + 2, : n + 2].copy(), b[n: n + 2], f)
+    # the failed chain gave back the tips it claimed: the retry appends
+    # to the base's own buffers instead of copying them
+    assert grown._tail is f._tail and grown._theta is f._theta
     batch = factor_batch(K[: n + 2, : n + 2].copy(), b[: n + 2])
     assert np.abs(packed_of(grown) - packed_of(batch)).max() <= 1e-9
     assert np.abs(theta_of(grown) - theta_of(batch)).max() <= 1e-9

@@ -520,6 +520,16 @@ def test_bad_label_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_field_only_python_float_reads_exit_2(tmp_path, capsys):
+    p = tmp_path / "underscore.csv"
+    p.write_text("1,0.5\n1,2_0\n")
+    rc = main(["train", "--data", str(p), "--label-col", "0",
+               "--out", str(tmp_path / "m.bin")])
+    assert rc == 2
+    assert "'2_0'" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_no_target_rows_exit_2(tmp_path):
     p = tmp_path / "neg.csv"
     p.write_text("0,0.5,1.0\n0,0.25,2.0\n")

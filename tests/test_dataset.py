@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from ocksr.dataset import (
     DataFormatError,
     Dataset,
@@ -101,6 +104,114 @@ def test_load_features_csv(tmp_path):
     p = _write(tmp_path / "f.csv", "x0,x1\n0.5,1.5\n2.5,3.5\n")
     X = load_features_csv(p)
     np.testing.assert_array_equal(X, [[0.5, 1.5], [2.5, 3.5]])
+
+
+def _same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _labeled_csv(draw):
+    """A labeled CSV text written with ``repr`` and its label column.
+
+    Draws whether there is a header (some of its names quoted, one with
+    a comma and one spanning two lines), blank lines anywhere, CRLF line
+    ends, double-quoted fields and a missing final line end.
+    """
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    label_column = draw(st.integers(0, d))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = []
+    for _ in range(n):
+        row = [repr(draw(finite)) for _ in range(d)]
+        row.insert(label_column, draw(st.sampled_from(["0", "1", "1.0", "-0.0", "1e0"])))
+        rows.append(row)
+    if draw(st.booleans()):
+        rows.insert(0, [draw(st.sampled_from(["x", "label", '"a,b"', '"two\nlines"']))
+                        for _ in range(d + 1)])
+    quote = draw(st.booleans())
+    lines = [",".join(f'"{tok}"' if quote and '"' not in tok and draw(st.booleans())
+                      else tok for tok in row) for row in rows]
+    blank = st.integers(0, 2)
+    lines = [x for line in lines for x in [""] * draw(blank) + [line]] + [""] * draw(blank)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return text, label_column
+
+
+@given(_labeled_csv())
+@settings(max_examples=200, deadline=None)
+def test_readers_match_the_token_oracle_bit_for_bit(tmp_path_factory, case):
+    text, label_column = case
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    path = str(path)
+    X, labels = oracles.load_csv(path, label_column)
+    ds = load_csv(path, label_column)
+    _same_bits(ds.X, X)
+    _same_bits(ds.labels, labels)
+    _same_bits(load_features_csv(path), oracles.parse_csv(path)[0])
+
+
+@pytest.mark.parametrize("text", [
+    "1,0.5,2.0\n1,1.5\n",                  # ragged
+    "label,x\n\n1,2\n\n1\n",               # ragged, after blank lines
+    "1,0.5\n1,abc\n",                      # non-numeric
+    "label,x0,x1\n1,0.5,2.0\n\n1,1.5,\n",  # empty field
+    *[f"label,x0,x1\n1,0.5,2.0\n\n0,{tok},1.0\n" for tok in ("nan", "NaN", "inf", "-inf")],
+    '1,0.5\r\n\r\n0,"-inf"\r\n',           # quoted, CRLF
+    "1,1e400\n",                           # overflows to inf
+    "2,0.5\n1,0.25\n",                     # invalid label
+    "label,x\n1,0.5\n\n0.5,0.25\n",        # invalid label, after a blank line
+    "",                                    # empty file
+    "\n\r\n\n",                            # blank lines only
+    "label,x0\n",                          # header only
+    "label,x0\n\n\r\n",                    # header and blank lines
+    "1,2\n# note\n3,4\n",                  # no comment lines
+    "1\n#2\n",
+    "# a comment is a header\n1,0\n",
+    "1,0.5\n \n",                          # a space is a field
+])
+def test_reader_errors_keep_the_oracle_messages(tmp_path, text):
+    path = tmp_path / "d.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    path = str(path)
+    for read, oracle in ((lambda p: load_csv(p, 0).X, lambda p: oracles.load_csv(p, 0)[0]),
+                         (load_features_csv, lambda p: oracles.parse_csv(p)[0])):
+        try:
+            expected = oracle(path)
+        except DataFormatError as exc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no loadtxt "no data" warning
+                with pytest.raises(DataFormatError) as got:
+                    read(path)
+            assert str(got.value) == str(exc)
+        else:
+            _same_bits(read(path), expected)
+
+
+def test_missing_file_keeps_the_oracle_message(tmp_path):
+    path = str(tmp_path / "absent.csv")
+    for read, oracle in ((lambda p: load_csv(p, 0), lambda p: oracles.load_csv(p, 0)),
+                         (load_features_csv, oracles.parse_csv)):
+        with pytest.raises(DataFormatError) as exc:
+            oracle(path)
+        with pytest.raises(DataFormatError) as got:
+            read(path)
+        assert str(got.value) == str(exc.value)
+
+
+@pytest.mark.parametrize("token", ["2_0", "\uff12", "\u0662.5"])
+def test_fields_only_python_float_reads_are_data_errors(tmp_path, token):
+    # digit underscores and non-ASCII digits: Python's float reads them,
+    # numpy's reader does not, and the loaders name the field numpy refused
+    p = _write(tmp_path / "d.csv", f"1,0.5\n0,{token}\n")
+    assert oracles.parse_csv(p)[0].shape == (2, 2)
+    for read in (lambda p: load_csv(p, 0), load_features_csv):
+        with pytest.raises(DataFormatError, match=repr(token)):
+            read(p)
 
 
 def test_write_csv_round_trips_exactly(tmp_path):

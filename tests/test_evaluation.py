@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
 import ocksr.evaluation as ev
-from ocksr.dataset import make_synthetic, random_split
+from ocksr.dataset import make_synthetic, random_split, write_csv
 from ocksr.evaluation import (
     NEIGHBORHOOD_RANGE,
     SCORER_NAMES,
@@ -90,6 +90,39 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_package_import_leaves_scipy_special_and_spatial_unloaded(tmp_path):
+    # train and score never rank or run a baseline, so their children
+    # must not pay for these imports; bench loads them where it calls them
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for module in ("ocksr.cli", "ocksr"):
+        probe = (f"import sys, {module}; print([m for m in sys.modules "
+                 "if m.startswith(('scipy.special', 'scipy.spatial'))])")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "[]", module
+    paths = []
+    for sep, seed in ((6.0, 12), (1.0, 13)):
+        paths.append(str(tmp_path / f"d{seed}.csv"))
+        write_csv(make_synthetic(30, 20, 5, sep, seed), paths[-1])
+    out = str(tmp_path / "rep")
+    argv = ["bench", "--label-col", "0", "--repeats", "2", "--seed", "5", "--k", "3",
+            "--out", out, "--method", "ocksr", "--method", "knndd", "--method", "kmeans"]
+    argv += [x for path in paths for x in ("--data", path)]
+    subprocess.run([sys.executable, "-c",
+                    "import sys; from ocksr.cli import main; sys.exit(main())", *argv],
+                   capture_output=True, text=True, check=True, env=env)
+    with open(out + ".json") as fh:
+        payload = json.load(fh)
+    means = [[payload["cells"][path][m]["mean"] for m in payload["methods"]]
+             for path in paths]
+    result = ev.friedman_test(means)
+    assert payload["friedman"]["chi_square"] == result.chi_square == 3.0
+    # three methods: the chi-square upper tail with 2 degrees of freedom
+    # is exp(-chi2 / 2)
+    assert payload["friedman"]["p_value"] == result.p_value
+    assert result.p_value == pytest.approx(np.exp(-1.5), rel=1e-15)
 
 
 def test_auc_invariant_under_monotone_transforms():

@@ -233,6 +233,50 @@ def test_concurrent_appends_from_one_base_match_batch():
     assert (bad_models, bad_factors) == (0, 0)
 
 
+def test_concurrent_failed_borders_overwrite_no_factor():
+    # half the threads border a base by three rows whose last repeats a base
+    # row, so their chains claim the tails' tips, fail and give the tips
+    # back; the others border it by two good rows.  Every factor must keep
+    # its entries through one more extension of the base by another row
+    rng = np.random.default_rng(21)
+    n, d, n_threads, trials = 200, 8, 4, 40
+    X = rng.standard_normal((n + 4, d))
+    X[n + 2] = X[5]
+    K = gram(X, KernelSpec(sigma=float(np.sqrt(d))))
+    ones = np.ones(n + 4)
+    late = np.append(K[n + 3, :n], K[n + 3, n + 3])[None, :]
+    bases = []
+
+    def make_base():
+        bases.append(factor_batch(K[:n, :n].copy(), ones[:n]))
+        return bases[-1]
+
+    def border(base, i):
+        if i % 2:
+            return factor_batch(K[n: n + 3, : n + 3].copy(), ones[n: n + 3], base)
+        return factor_batch(K[n: n + 2, : n + 2].copy(), ones[n: n + 2], base)
+
+    ref = border(make_base(), 0)
+    ref_packed, ref_theta = packed_of(ref).copy(), theta_of(ref).copy()
+    bad = 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(trials):
+            results = _race(make_base, border, n_threads)
+            factor_batch(late.copy(), ones[:1], bases[-1])
+            for i, got in enumerate(results):
+                if i % 2:
+                    bad += not isinstance(got, NotPositiveDefinite)
+                else:
+                    bad += not (isinstance(got, CholeskyFactor)
+                                and np.array_equal(packed_of(got), ref_packed)
+                                and np.array_equal(theta_of(got), ref_theta))
+    finally:
+        sys.setswitchinterval(interval)
+    assert bad == 0
+
+
 def test_incremental_empty_append_returns_model():
     m = fit(np.random.default_rng(6).standard_normal((8, 4)), KernelSpec(sigma=1.0))
     assert fit_incremental(m, np.empty((0, 4))) is m
