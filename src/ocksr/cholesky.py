@@ -6,10 +6,12 @@ K by m new rows and columns appends m columns to R, and the existing
 factor is untouched.  The new columns are R12 = R11^-T K12 over
 R22 = chol(K22 - R12^T R12).  A border has two shapes: a few new rows
 border one at a time, each a scalar pivot with one packed triangular
-solve (Level-2 ``dtpsv``) for its column; a block of rows unpacks R11
-once, solves for all of R12 in one Level-3 ``dtrsm`` and factors R22
-with ``dpotrf``.  A batch factorization is the bordering of an empty
-factor, so one routine, ``factor_batch``, does both.
+solve (Level-2 ``dtpsv``) for its column; a block of rows solves for
+R12 against R11 one column panel at a time, each panel copied out of
+the packed storage into a thin work buffer for one ``dgemm`` and one
+``dtrsm`` (Level 3), and factors R22 with ``dpotrf``.  A batch
+factorization is the bordering of an empty factor, so one routine,
+``factor_batch``, does both.
 
 R is held column-packed (BLAS upper packed layout), so appended columns
 are a contiguous write at the tail of the buffer and the per-row
@@ -30,8 +32,9 @@ makes no checking pass over K.  Its pivot test rejects NaN pivots, so a
 non-finite entry in the triangle it reads still raises
 ``NotPositiveDefinite``.  Like LAPACK's in-place routines it consumes
 its input: a batch factors K where it lies (``dpotrf`` with
-``overwrite_a``) and packs the result, so going from K to the packed
-factor takes no second n x n array.
+``overwrite_a``) and writes the result column by column straight into
+the space it claims in a fresh tail, so K is the only n x n array from
+K to the packed factor, and nothing of that size is copied twice.
 """
 
 from __future__ import annotations
@@ -39,17 +42,17 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from scipy.linalg.blas import ddot, dgemv, dsyrk, dtpsv, dtrsm
-from scipy.linalg.lapack import dpotrf, dtpttr, dtrtri, dtrttp
+from scipy.linalg.blas import ddot, dgemm, dgemv, dsyrk, dtpsv, dtrsm, dtrsv
+from scipy.linalg.lapack import dpotrf, dtpttr, dtrtri
 
 # A pivot whose square is at or below PIVOT_EPS times the max diagonal of
 # the factored matrix up to its row is treated as numerically zero.
 PIVOT_EPS = 1e-12
 
-# From this many new rows on, a border solves R12 by one dtrsm against
-# R11 unpacked (an n x n copy), not one scalar pivot per row.  Timed at
-# n = 500 to 3200, the two cross between 8 and 16 rows (near 9 at
-# n = 1000, 11 at 2000, 15 at 500 and 3200).
+# From this many new rows on, a border solves R12 by column panels of
+# the packed R11, not one scalar pivot per row.  Timed at n = 500 to
+# 3200 (2-core x86-64 VM), the two cross between 8 and 24 rows: near 8
+# at n = 2000 and 3200, 9 at 1000 and 24 at 500.
 BLOCK_BORDER_ROWS = 12
 
 
@@ -78,18 +81,27 @@ class _Tail:
         self.tip = 0
         self._lock = threading.Lock()
 
-    def extend(self, used: int, values) -> "_Tail":
-        """The tail holding ``buf[:used]`` followed by ``values``."""
-        n = used + len(values)
+    def claim(self, used: int, n: int) -> "_Tail":
+        """A tail holding ``buf[:used]``, whose ``buf[used:n]`` the caller writes.
+
+        That is this tail when ``used`` is its tip and the capacity
+        suffices, else a copy of the prefix with spare capacity.
+        """
         with self._lock:
             claimed = self.tip == used and self.buf.shape[0] >= n
             if claimed:
                 self.tip = n
-        tail = self
-        if not claimed:
-            tail = _Tail(n + max(64, n // 4))
-            tail.buf[:used] = self.buf[:used]
-            tail.tip = n
+        if claimed:
+            return self
+        tail = _Tail(n + max(64, n // 4))
+        tail.buf[:used] = self.buf[:used]
+        tail.tip = n
+        return tail
+
+    def extend(self, used: int, values) -> "_Tail":
+        """The tail holding ``buf[:used]`` followed by ``values``."""
+        n = used + len(values)
+        tail = self.claim(used, n)
         tail.buf[used:n] = values
         return tail
 
@@ -147,7 +159,9 @@ def factor_batch(K_rows, b, base: CholeskyFactor | None = None) -> CholeskyFacto
 
     ``K_rows`` is consumed: its contents are undefined after the call,
     whether it succeeds or raises.  A batch on a C-ordered float64 K
-    factors it in place; a caller that needs K again passes a copy.
+    factors it in place, and a block on Fortran-ordered float64 rows
+    solves R12 in their memory; a caller that needs K again passes a
+    copy.
 
     ``b`` holds the new rows' m entries of the right-hand side.  The same
     call extends the forward substitution theta = R^-T b: the result
@@ -186,7 +200,6 @@ def factor_batch(K_rows, b, base: CholeskyFactor | None = None) -> CholeskyFacto
             raise
         return chain[-1]
 
-    lo = n * (n + 1) // 2
     # row j's floor uses the max diagonal up to row j, as bordering one
     # row at a time would; read before dpotrf overwrites the diagonal
     max_diag = np.maximum.accumulate(np.diagonal(K_rows, n))
@@ -197,8 +210,10 @@ def factor_batch(K_rows, b, base: CholeskyFactor | None = None) -> CholeskyFacto
     # factors K_rows' own memory in place
     S = K_rows[:, n:].T
     if n:
-        R12 = dtrsm(1.0, _unpack(base), K_rows[:, :n].T, lower=0, trans_a=1)
-        S = dsyrk(-1.0, R12, beta=1.0, c=S, trans=1)
+        # R12^T, solved in K_rows' own memory when it is Fortran-ordered
+        R12t = np.asfortranarray(K_rows[:, :n])
+        _solve_panels(base, R12t)
+        S = dsyrk(-1.0, R12t, beta=1.0, c=S)
     # only R22's upper triangle is read below, so the other is left as is
     R22, info = dpotrf(S, lower=0, clean=0, overwrite_a=1)
     if info < 0:
@@ -212,16 +227,58 @@ def factor_batch(K_rows, b, base: CholeskyFactor | None = None) -> CholeskyFacto
     if small.size or info > 0:
         raise NotPositiveDefinite(n + (int(small[0]) if small.size else done))
 
-    rhs = dgemv(-1.0, R12, base._theta.buf[:n], beta=1.0, y=b, trans=1) if n else b
-    packed = dtrttp(R22)[0]
-    theta = dtpsv(m, packed, rhs, lower=0, trans=1)
+    lo, hi = n * (n + 1) // 2, (n + m) * (n + m + 1) // 2
+    tail = (_Tail() if base is None else base._tail).claim(lo, hi)
+    packed = tail.buf[lo:hi]
+    # new column j of R is R12[:, j] over the top j + 1 entries of R22[:, j]
+    s = 0
+    for j in range(m):
+        if n:
+            packed[s:s + n] = R12t[j]
+        packed[s + n:s + n + j + 1] = R22[: j + 1, j]
+        s += n + j + 1
     if n:
-        # new column j of R is R12[:, j] over the top j + 1 entries of R22[:, j]
-        packed = np.concatenate(
-            [x for j in range(m) for x in (R12[:, j], R22[: j + 1, j])])
-    tail, thetas = (_Tail(), _Tail()) if base is None else (base._tail, base._theta)
-    return CholeskyFactor(tail.extend(lo, packed), thetas.extend(n, theta),
-                          n + m, float(max_diag[-1]))
+        rhs = dgemv(-1.0, R12t, base._theta.buf[:n], beta=1.0, y=b)
+        theta, thetas = dtrsv(R22, rhs, lower=0, trans=1), base._theta
+    else:
+        theta, thetas = dtpsv(m, packed, b, lower=0, trans=1), _Tail()
+    return CholeskyFactor(tail, thetas.extend(n, theta), n + m, float(max_diag[-1]))
+
+
+# Width of the column panels of R11 a block border solves against.  Each
+# panel is copied out of the packed tail into a buffer of its height times
+# this width, so that buffer stays a thin slab next to the n x n factor.
+_PANEL = 64
+
+
+def _solve_panels(base: CholeskyFactor, Y: np.ndarray) -> None:
+    """Overwrite the Fortran-ordered (m, n) Y with Y R11^-1, R11 the base's R.
+
+    Column panel [c0, c1) of R11 is the packed columns c0 to c1 - 1, one
+    contiguous slice of the tail.  Its rows above the panel update
+    Y[:, c0:c1] by one ``dgemm`` against the solved Y[:, :c0]; its
+    diagonal block is solved by one ``dtrsm``.  R11 is never unpacked.
+    """
+    n, buf = base._m, base._tail.buf
+    work = np.empty(n * min(n, _PANEL))
+    for c0 in range(0, n, _PANEL):
+        c1 = min(c0 + _PANEL, n)
+        w = c1 - c0
+        # the packed offsets of columns c0 to c1 - 1
+        first = np.arange(c0, c1) * np.arange(c0 + 1, c1 + 1) // 2
+        # row k holds column c0 + k of R11 above the panel, so the
+        # transpose is R11[:c0, c0:c1]
+        above = work[: c0 * w].reshape(w, c0)
+        for k, f in enumerate(first.tolist()):
+            above[k] = buf[f:f + c0]
+        # row k holds column c0 + k within the panel, up to its diagonal
+        # entry and on into the next column: the transpose's upper
+        # triangle is R11[c0:c1, c0:c1], and dtrsm reads no other entry
+        block = buf[first[:, None] + np.arange(c0, c1)]
+        panel = Y[:, c0:c1]
+        if c0:
+            dgemm(-1.0, Y[:, :c0], above.T, beta=1.0, c=panel, overwrite_c=1)
+        dtrsm(1.0, block.T, panel, side=1, lower=0, overwrite_b=1)
 
 
 def _border_row(k: np.ndarray, b: float, base: CholeskyFactor) -> CholeskyFactor:

@@ -68,29 +68,31 @@ def _parse_float(token: str) -> float | None:
         return None
 
 
-def _rows(path: str) -> list[list[str]]:
-    """The file's non-empty rows as ``csv.reader`` reads them.
+def _rows(path: str) -> list[tuple[int, list[str]]]:
+    """The file's non-empty rows as ``csv.reader`` reads them, with their lines.
 
-    Only the error paths read a file this way, to name a bad field.
+    A row's line is the line of the file it ends on, blank lines
+    counted.  Only the error paths read a file this way, to name a bad
+    field.
     """
     with open(path, newline="") as fh:
-        return [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        return [(reader.line_num, row) for row in reader if row]
 
 
-def _bad_field(path: str, start: int) -> str | None:
+def _bad_field(path: str, header: int) -> str | None:
     """The message for the first ragged row or non-numeric field, if any.
 
-    Lines count the non-empty rows; ``start`` is that of the first data
-    row.
+    ``header`` is the count of header rows (0 or 1) before the data.
     """
-    rows = _rows(path)[start - 1:]
-    width = len(rows[0])
-    for i, row in enumerate(rows, start=start):
+    rows = _rows(path)[header:]
+    width = len(rows[0][1])
+    for line, row in rows:
         if len(row) != width:
-            return f"{path}: ragged row at line {i}"
+            return f"{path}: ragged row at line {line}"
         for j, tok in enumerate(row):
             if _parse_float(tok) is None:
-                return f"{path}: non-numeric value {tok!r} at line {i}, column {j}"
+                return f"{path}: non-numeric value {tok!r} at line {line}, column {j}"
     return None
 
 
@@ -100,9 +102,9 @@ def _parse_csv(path: str) -> tuple[np.ndarray, int]:
     The header is the first non-empty row if any of its fields is not a
     number.  numpy's C reader reads the rest, so every field must be a
     decimal real that it parses, optionally double-quoted, and finite;
-    no line is a comment.  Returns the matrix and the line number of its
-    first row, counting non-empty rows, so callers can point at an
-    offending field.
+    no line is a comment.  Returns the matrix and the count of header
+    rows before it (0 or 1), so callers can find an offending field's
+    row in ``_rows``.
     """
     try:
         with open(path, newline="") as fh:
@@ -111,28 +113,26 @@ def _parse_csv(path: str) -> tuple[np.ndarray, int]:
             first = next(rows, None)
             if first is None:
                 raise DataFormatError(f"{path}: no rows")
-            header = any(_parse_float(tok) is None for tok in first)
+            header = int(any(_parse_float(tok) is None for tok in first))
             skip = reader.line_num if header else 0
             if header and next(rows, None) is None:
                 raise DataFormatError(f"{path}: no rows after header")
     except FileNotFoundError as exc:
         raise DataFormatError(f"no such file: {path}") from exc
-    start = 2 if header else 1
     try:
         M = np.loadtxt(path, delimiter=",", comments=None, quotechar='"',
                        skiprows=skip, ndmin=2)
     except ValueError as exc:
         # fields only Python's float reads (2_0, non-ASCII digits) pass
         # the token pass and keep numpy's message
-        raise DataFormatError(_bad_field(path, start) or f"{path}: {exc}") from None
+        raise DataFormatError(_bad_field(path, header) or f"{path}: {exc}") from None
     finite = np.isfinite(M)
     if not finite.all():
         r, j = np.argwhere(~finite)[0]
+        line, row = _rows(path)[header + r]
         raise DataFormatError(
-            f"{path}: non-finite value {_rows(path)[start - 1 + r][j]!r} at line "
-            f"{start + r}, column {j}"
-        )
-    return M, start
+            f"{path}: non-finite value {row[j]!r} at line {line}, column {j}")
+    return M, header
 
 
 def load_csv(path: str, label_column: int) -> Dataset:
@@ -151,7 +151,7 @@ def load_csv(path: str, label_column: int) -> Dataset:
         DataFormatError: empty file, ragged rows, non-numeric or
             non-finite values, or labels outside {0, 1}.
     """
-    M, start = _parse_csv(path)
+    M, header = _parse_csv(path)
     width = M.shape[1]
     if not 0 <= label_column < width:
         raise DataFormatError(
@@ -160,10 +160,10 @@ def load_csv(path: str, label_column: int) -> Dataset:
     labels = M[:, label_column]
     bad = np.flatnonzero((labels != 0.0) & (labels != 1.0))
     if bad.size:
-        r = int(bad[0])
+        line, row = _rows(path)[header + int(bad[0])]
         raise DataFormatError(
-            f"{path}: invalid label {_rows(path)[start - 1 + r][label_column]!r} at "
-            f"line {start + r} (must be 0 or 1)"
+            f"{path}: invalid label {row[label_column]!r} at line {line} "
+            f"(must be 0 or 1)"
         )
     return Dataset(np.delete(M, label_column, axis=1), labels.astype(np.int64),
                    name=path)

@@ -5,8 +5,8 @@ expansion ||a||^2 + ||b||^2 - 2 a.b on scipy's BLAS.  The self kernel
 (``gram``, and the distances behind ``median_pairwise_distance``)
 first shifts the rows by the first one, so an offset shared by every
 row does not cancel in the expansion.  The cross kernel
-(``kernel_cross``, and the model's appends) works on the rows as they
-are.
+(``kernel_cross``, and the model's scoring and appends) works on the
+rows as they are.
 """
 
 from __future__ import annotations
@@ -70,9 +70,12 @@ def _sq_dists(A: np.ndarray, B: np.ndarray | None = None,
         # dsyrk fills the upper triangle of d2^T, the lower one of d2
         dsyrk(-2.0, A.T, beta=1.0, c=d2.T, trans=1, overwrite_c=1)
     elif A.shape[0] == 1:
-        # one row (an append, a single probe): gemm costs ~3x gemv here
-        # (2000 rows of 64 features: 91 vs 29 us on a 2-core x86-64 VM)
+        # one row (a single probe): gemm costs ~3x gemv here (2000 rows
+        # of 64 features: 91 vs 29 us on a 2-core x86-64 VM)
         dgemv(-2.0, B.T, A[0], beta=1.0, y=d2[0], trans=1, overwrite_y=1)
+    elif B.shape[0] == 1:
+        # the same for one row against A (an append)
+        dgemv(-2.0, A.T, B[0], beta=1.0, y=d2[:, 0], trans=1, overwrite_y=1)
     else:
         dgemm(-2.0, B.T, A.T, beta=1.0, c=d2.T, trans_a=1, overwrite_c=1)
     # rounding can push tiny squared distances below 0
@@ -137,10 +140,15 @@ def kernel_cross(X, Z, spec: KernelSpec) -> np.ndarray:
     No delta term: regularization is a property of the training system only.
     """
     X = _as_matrix(X)
+    return _rbf(_sq_dists(_probes(X, Z), X), spec.sigma)
+
+
+def _probes(X: np.ndarray, Z) -> np.ndarray:
+    """Z as a nonempty float64 matrix of rows as wide as X's, or ValueError."""
     Z = _as_matrix(Z)
     if Z.shape[1] != X.shape[1]:
         raise ValueError(f"dimension mismatch: {Z.shape[1]} vs {X.shape[1]}")
-    return _rbf(_sq_dists(Z, X), spec.sigma)
+    return Z
 
 
 # Pairs per row block of the median's distance vector (4 MB of float64):

@@ -4,6 +4,8 @@ pytest puts this directory on ``sys.path``, so test modules import it
 as ``oracles``.  Nothing here is fast; each routine takes the plainest
 route to its answer.  ``R_of``, ``packed_of`` and ``theta_of`` show the
 tests a factor's storage, which the library itself never reads back.
+``border_block`` and ``project`` are the one-array computations that
+the library replaced by panels and probe chunks.
 ``parse_csv`` and ``load_csv`` are the token-by-token CSV reader the
 library's numpy-backed one must agree with.
 """
@@ -12,6 +14,7 @@ import csv
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dtrsm
 from scipy.spatial.distance import cdist
 
 from ocksr.cholesky import _unpack
@@ -40,13 +43,23 @@ def theta_of(factor) -> np.ndarray:
     return view
 
 
+def border_block(factor, K12) -> np.ndarray:
+    """R12 = R^-T K12 for the (n, m) K12: one dtrsm against R unpacked."""
+    return dtrsm(1.0, _unpack(factor), K12, lower=0, trans_a=1)
+
+
+def project(model, Z) -> np.ndarray:
+    """Projections of the probe rows Z: the whole cross kernel times alpha."""
+    return kernel_cross(model.X_train, Z, model.spec) @ model.alpha
+
+
 def project_train(model) -> np.ndarray:
     """Projections of the retained training rows under the trained model.
 
     Uses raw kernel values (no delta), so at delta = 0 this reproduces
     the response vector up to solver rounding.
     """
-    return kernel_cross(model.X_train, model.X_train, model.spec) @ model.alpha
+    return project(model, model.X_train)
 
 
 def gram(X, spec: KernelSpec) -> np.ndarray:
@@ -74,35 +87,37 @@ def _parse_float(token: str) -> float | None:
         return None
 
 
-def parse_csv(path: str) -> tuple[np.ndarray, list[list[str]], int]:
+def parse_csv(path: str) -> tuple[np.ndarray, tuple[list[str], ...], tuple[int, ...]]:
     """A numeric CSV with an optional header row, one Python ``float`` per field.
 
     ``csv.reader`` splits the non-empty rows; the first is a header if
     any of its fields is not a number.  Every value must parse to a
-    finite real.  Returns the matrix, the data rows as read, and the
-    line number of the first data row, lines counting non-empty rows.
+    finite real.  Returns the matrix, the data rows as read, and each
+    data row's line: the line of the file it ends on, blank lines
+    counted (``csv.reader.line_num``).
     """
     try:
         with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            numbered = [(reader.line_num, row) for row in reader if row]
     except FileNotFoundError as exc:
         raise DataFormatError(f"no such file: {path}") from exc
-    if not rows:
+    if not numbered:
         raise DataFormatError(f"{path}: no rows")
-    start = 1 if any(_parse_float(tok) is None for tok in rows[0]) else 0
-    if start == len(rows):
+    start = 1 if any(_parse_float(tok) is None for tok in numbered[0][1]) else 0
+    if start == len(numbered):
         raise DataFormatError(f"{path}: no rows after header")
-    rows = rows[start:]
+    lines, rows = zip(*numbered[start:])
     width = len(rows[0])
     out = []
-    for i, row in enumerate(rows, start=start + 1):
+    for line, row in zip(lines, rows):
         if len(row) != width:
-            raise DataFormatError(f"{path}: ragged row at line {i}")
+            raise DataFormatError(f"{path}: ragged row at line {line}")
         parsed = [_parse_float(tok) for tok in row]
         if None in parsed:
             j = parsed.index(None)
             raise DataFormatError(
-                f"{path}: non-numeric value {row[j]!r} at line {i}, column {j}"
+                f"{path}: non-numeric value {row[j]!r} at line {line}, column {j}"
             )
         out.append(parsed)
     M = np.array(out, dtype=np.float64).reshape(len(out), width)
@@ -110,15 +125,14 @@ def parse_csv(path: str) -> tuple[np.ndarray, list[list[str]], int]:
     if not finite.all():
         r, j = np.argwhere(~finite)[0]
         raise DataFormatError(
-            f"{path}: non-finite value {rows[r][j]!r} at line {start + 1 + r}, "
-            f"column {j}"
+            f"{path}: non-finite value {rows[r][j]!r} at line {lines[r]}, column {j}"
         )
-    return M, rows, start + 1
+    return M, rows, lines
 
 
 def load_csv(path: str, label_column: int) -> tuple[np.ndarray, np.ndarray]:
     """(X, labels) of a labeled CSV through ``parse_csv``, labels in {0, 1}."""
-    M, rows, first_line = parse_csv(path)
+    M, rows, lines = parse_csv(path)
     width = M.shape[1]
     if not 0 <= label_column < width:
         raise DataFormatError(
@@ -130,6 +144,6 @@ def load_csv(path: str, label_column: int) -> tuple[np.ndarray, np.ndarray]:
         r = int(bad[0])
         raise DataFormatError(
             f"{path}: invalid label {rows[r][label_column]!r} at line "
-            f"{first_line + r} (must be 0 or 1)"
+            f"{lines[r]} (must be 0 or 1)"
         )
     return np.delete(M, label_column, axis=1), labels.astype(np.int64)

@@ -4,14 +4,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg.blas import dtpsv
 
 from ocksr.cholesky import (
+    _PANEL,
     BLOCK_BORDER_ROWS,
     PIVOT_EPS,
     NotPositiveDefinite,
+    _solve_panels,
     factor_batch,
     solve_upper,
 )
 from ocksr.kernel import KernelSpec, gram, median_pairwise_distance
-from oracles import R_of, packed_of, theta_of
+from oracles import R_of, border_block, packed_of, theta_of
 
 
 def _random_spd(rng, n, ridge=0.5):
@@ -338,6 +340,22 @@ def test_duplicate_row_reports_its_global_index_at_every_block_size(m):
         with pytest.raises(NotPositiveDefinite) as one_by_one:
             border_rows_one_by_one(K, b, n)
         assert block.value.pivot_index == one_by_one.value.pivot_index == n + j
+
+
+@pytest.mark.parametrize("n", [_PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL + 5])
+@pytest.mark.parametrize("m", [12, 13, 64])
+@pytest.mark.parametrize("delta", [0.0, 1e-8])
+def test_panel_border_matches_the_dense_triangular_solve(n, m, delta):
+    # R12 by column panels of the packed R11 against one dtrsm on R11
+    # unpacked, with n on both sides of a panel edge
+    rng = np.random.default_rng(100 * n + m)
+    X = rng.standard_normal((n + m, 6))
+    K = gram(X, KernelSpec(sigma=0.5 * median_pairwise_distance(X), delta=delta))
+    base = factor_batch(K[:n, :n].copy(), np.ones(n))
+    expected = border_block(base, K[n:, :n].T)
+    R12t = np.asfortranarray(K[n:, :n])
+    _solve_panels(base, R12t)
+    assert np.abs(R12t.T - expected).max() <= 1e-11 * max(1.0, np.abs(expected).max())
 
 
 @pytest.mark.parametrize("m", [m for m in CHUNKS if m < BLOCK_BORDER_ROWS])

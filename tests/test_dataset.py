@@ -89,6 +89,24 @@ def test_load_csv_errors_name_line_and_column(tmp_path):
         load_features_csv(p)
 
 
+def test_errors_name_the_file_line_past_blank_lines(tmp_path):
+    # blank lines count: the short row below is on line 5, the third
+    # non-empty row
+    p = _write(tmp_path / "d.csv", "label,x\n\n1,2\n\n1\n")
+    for read in (lambda p: load_csv(p, 0), load_features_csv):
+        with pytest.raises(DataFormatError, match="ragged row at line 5$"):
+            read(p)
+    p = _write(tmp_path / "e.csv", "label,x\n\n1,0.5\n\n\n0.5,0.25\n")
+    with pytest.raises(DataFormatError, match=r"invalid label '0.5' at line 6 "):
+        load_csv(p, label_column=0)
+    p = _write(tmp_path / "f.csv", "\n1,0.5,2.0\n\n0,nan,1.0\n")
+    with pytest.raises(DataFormatError, match="non-finite value 'nan' at line 4, column 1"):
+        load_features_csv(p)
+    p = _write(tmp_path / "g.csv", "1,0.5\n\n\n1,abc\n")
+    with pytest.raises(DataFormatError, match="non-numeric value 'abc' at line 4, column 1"):
+        load_csv(p, label_column=0)
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(DataFormatError, match="no such file"):
         load_csv(str(tmp_path / "absent.csv"), label_column=0)

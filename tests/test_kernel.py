@@ -6,7 +6,13 @@ from scipy.spatial.distance import pdist
 
 import oracles
 from ocksr.cholesky import factor_batch
-from ocksr.kernel import KernelSpec, gram, kernel_cross, median_pairwise_distance
+from ocksr.kernel import (
+    KernelSpec,
+    _sq_dists,
+    gram,
+    kernel_cross,
+    median_pairwise_distance,
+)
 
 
 def kernel_eval(x, y, spec: KernelSpec) -> float:
@@ -149,6 +155,14 @@ def test_kernel_cross_one_row_matches_gram_column():
     for j in (0, 3, 7):
         np.testing.assert_allclose(kernel_cross(X, X[j:j + 1], spec)[0], K[:, j],
                                    rtol=0, atol=1e-14)
+
+
+def test_one_row_distances_are_the_same_either_side():
+    # a one-row append puts its row second, a one-probe score first: both
+    # take the same matrix-vector product, so the distances agree bit for bit
+    rng = np.random.default_rng(6)
+    A, b = rng.standard_normal((50, 7)), rng.standard_normal((1, 7))
+    np.testing.assert_array_equal(_sq_dists(A, b), _sq_dists(b, A).T)
 
 
 def test_kernel_cross_one_row_scalar_oracle():

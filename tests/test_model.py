@@ -2,6 +2,7 @@ import logging
 import struct
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from ocksr.cholesky import (
 )
 from ocksr.dataset import Dataset
 from ocksr.evaluation import friedman_test
-from ocksr.kernel import KernelSpec, gram, median_pairwise_distance
+from ocksr.kernel import KernelSpec, gram, kernel_cross, median_pairwise_distance
 from ocksr.model import (
     DELTA_LADDER,
     Model,
@@ -322,6 +323,60 @@ def test_score_batch_matches_scalar_score():
         (p,), (v,) = score_batch(m, z[None, :])
         assert p == pytest.approx(proj[i], rel=1e-12, abs=1e-15)
         assert v == pytest.approx(nov[i], rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("probes", [1, 127, 128, 129, 300])
+@given(st.integers(0, 10**6), st.integers(1, 12))
+@settings(max_examples=5, deadline=None)
+def test_chunked_scoring_matches_the_whole_cross_kernel(tmp_path_factory, probes,
+                                                        seed, d):
+    # score_batch takes 128 probes at a time against the row norms the
+    # model holds, the oracle the whole cross kernel at once; the BLAS
+    # products round differently, so each projection may move, by at
+    # most 8 eps sum_i |k(z, x_i) alpha_i|
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((150, d))
+    spec = KernelSpec(sigma=median_pairwise_distance(X), delta=1e-8)
+    fitted = fit(X, spec)
+    appended = fit_incremental(fitted, rng.standard_normal((30, d)))  # norms grew
+    path = str(tmp_path_factory.mktemp("model") / "m.bin")
+    save_model(appended, path)
+    loaded = load_model(path)  # no tails: its norms are computed
+    assert loaded.tails is None
+    Z = rng.standard_normal((probes, d))
+    eps = np.finfo(np.float64).eps
+    for model in (fitted, appended, loaded):
+        proj, nov = score_batch(model, Z)
+        scale = np.abs(kernel_cross(model.X_train, Z, spec)) @ np.abs(model.alpha)
+        assert (np.abs(proj - oracles.project(model, Z)) <= 8 * eps * scale).all()
+        np.testing.assert_array_equal(nov, np.abs(proj - 1.0))
+
+
+def _traced_peak(call):
+    """call's result and the most memory tracemalloc saw allocated during it."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_fit_gram_is_the_only_n_by_n_array():
+    # a fit holds K and the packed factor it writes (half of K, with
+    # spare capacity for appends); scoring takes 128 probes at a time and
+    # a block append reads the packed factor by panels, so neither holds
+    # an n x n array.  Peaks are above the inputs, made before tracing.
+    rng = np.random.default_rng(45)
+    n, d = 800, 64
+    X, Z, X_new = (rng.standard_normal((k, d)) for k in (n, n, 64))
+    spec = KernelSpec(sigma=float(np.sqrt(2.0 * d)), delta=1e-8)
+    nn = 8 * n * n  # the bytes of one n x n float64 array
+    model, peak = _traced_peak(lambda: fit(X, spec))
+    assert peak < 1.75 * nn
+    _, peak = _traced_peak(lambda: score_batch(model, Z))
+    assert peak < nn / 4
+    _, peak = _traced_peak(lambda: fit_incremental(model, X_new))
+    assert peak < nn / 4
 
 
 @given(st.integers(0, 10**6))
