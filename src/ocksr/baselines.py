@@ -138,12 +138,17 @@ class KpcaModel:
     total_mean: float
 
 
-def _centered_gram(X: np.ndarray, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray, float]:
-    K = gram(X, replace(spec, delta=0.0))
+def _centered_gram(X: np.ndarray, spec: KernelSpec
+                   ) -> tuple[np.ndarray, np.ndarray, float, KernelSpec]:
+    """Centered K, its uncentered row and total means, and its spec (delta 0)."""
+    K, spec = gram(X, replace(spec, delta=0.0))
+    # gram fills the lower triangle; the means need the whole matrix
+    upper = np.triu_indices(K.shape[0], 1)
+    K[upper] = K.T[upper]
     row_mean = K.mean(axis=1)
     total_mean = float(K.mean())
     Kc = K - row_mean[:, None] - row_mean[None, :] + total_mean
-    return Kc, row_mean, total_mean
+    return Kc, row_mean, total_mean, spec
 
 
 def kpca_fit(X_pos, spec: KernelSpec, q: int | None = None) -> KpcaModel:
@@ -167,7 +172,7 @@ def kpca_fit(X_pos, spec: KernelSpec, q: int | None = None) -> KpcaModel:
     """
     X = np.asarray(X_pos, dtype=np.float64)
     n = X.shape[0]
-    Kc, row_mean, total_mean = _centered_gram(X, spec)
+    Kc, row_mean, total_mean, spec = _centered_gram(X, spec)
     try:
         eig, vectors = np.linalg.eigh(Kc)
     except np.linalg.LinAlgError as exc:
@@ -186,7 +191,7 @@ def kpca_fit(X_pos, spec: KernelSpec, q: int | None = None) -> KpcaModel:
     floor = max(float(eigenvalues[0]), 1.0) * np.finfo(float).eps
     lam = np.clip(eigenvalues, floor, None)
     coeffs = vectors[:, :q] / np.sqrt(lam)[None, :]
-    return KpcaModel(X=X, spec=replace(spec, delta=0.0), coeffs=coeffs,
+    return KpcaModel(X=X, spec=spec, coeffs=coeffs,
                      eigenvalues=eigenvalues, row_mean=row_mean,
                      total_mean=total_mean)
 

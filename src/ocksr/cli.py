@@ -25,7 +25,7 @@ from .dataset import (
     make_synthetic,
     write_csv,
 )
-from .kernel import KernelSpec, _resolve_sigma
+from .kernel import KernelSpec
 from .model import (
     _check_rejection,
     _check_tau,
@@ -63,13 +63,10 @@ def _checked(check, kind=float):
 
 
 _delta_arg = _checked(lambda v: KernelSpec(delta=v).delta)
-_sigma_real = _checked(lambda v: KernelSpec(sigma=v).sigma)
+_sigma_arg = _checked(lambda v: KernelSpec(sigma=v).sigma,
+                      lambda v: v if v == "median" else float(v))
 _repeats_arg = _checked(evaluation._check_repeats, int)
 _k_arg = _checked(evaluation._check_k, int)
-
-
-def _sigma_arg(value: str):
-    return "median" if value == "median" else _sigma_real(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,7 +187,7 @@ def _cmd_train(args) -> int:
                 "appending accepts positive rows only; negatives require a refit")
         model = fit_incremental(load_model(args.append), pos)
     else:
-        spec = KernelSpec(sigma=_resolve_sigma(args.sigma, pos), delta=args.delta)
+        spec = KernelSpec(sigma=args.sigma, delta=args.delta)
         model = fit_supervised(pos, neg, spec) if args.negatives else fit(pos, spec)
 
     save_model(model, args.out)
@@ -253,7 +250,7 @@ def _cmd_calibrate(args) -> int:
         spec = model.spec
     else:
         model = None
-        spec = KernelSpec(sigma=_resolve_sigma(args.sigma, pos), delta=args.delta)
+        spec = KernelSpec(sigma=args.sigma, delta=args.delta)
     tau = calibrate_threshold(pos, spec, args.rejection)
     print(f"tau={tau:.12g}")
     if model is not None:

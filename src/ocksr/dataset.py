@@ -32,13 +32,15 @@ class Dataset:
         X = np.ascontiguousarray(np.asarray(self.X, dtype=np.float64)).view()
         if X.ndim != 2:
             raise DataFormatError("feature matrix must be 2-dimensional")
-        labels = np.asarray(self.labels, dtype=np.int64).view()
+        labels = np.asarray(self.labels)
         if labels.ndim != 1 or labels.shape[0] != X.shape[0]:
             raise DataFormatError("labels must be a vector with one entry per row")
         if not np.isfinite(X).all():
             raise DataFormatError("feature matrix contains non-finite entries")
+        # the values as given, before a cast could round 0.7 to 0
         if labels.size and not np.isin(labels, (0, 1)).all():
             raise DataFormatError("labels must lie in {0, 1}")
+        labels = np.asarray(labels, dtype=np.int64).view()
         X.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "X", X)

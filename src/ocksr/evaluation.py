@@ -16,7 +16,7 @@ import numpy as np
 
 from . import baselines, model as ocksr_model
 from .dataset import Dataset, random_split
-from .kernel import KernelSpec, _resolve_sigma
+from .kernel import KernelSpec
 
 # Neighborhood sizes swept for the scorers that take one.
 NEIGHBORHOOD_RANGE = tuple(range(3, 11))
@@ -47,7 +47,7 @@ def roc_auc(scores, labels) -> float:
     from average ranks, so tied scores contribute one half.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    labels = np.asarray(labels).ravel()
     if scores.shape[0] != labels.shape[0]:
         raise ValueError("scores and labels must have equal length")
     if labels.size and not np.isin(labels, (0, 1)).all():
@@ -68,19 +68,18 @@ def roc_auc(scores, labels) -> float:
 class OcksrScorer:
     """Kernel regression novelty scorer.
 
-    sigma may be the literal string "median", resolved on each fit as
-    the median pairwise distance of the training rows.
+    sigma may be "median": each fit's Gram matrix resolves it as the
+    median pairwise distance of that fit's training rows.
     """
 
     name = "ocksr"
 
     def __init__(self, sigma: float | str = "median"):
-        self.sigma = sigma
+        self.spec = KernelSpec(sigma=sigma)
         self._model: ocksr_model.Model | None = None
 
     def fit(self, X: np.ndarray) -> "OcksrScorer":
-        spec = KernelSpec(sigma=_resolve_sigma(self.sigma, X))
-        self._model = ocksr_model.fit(X, spec)
+        self._model = ocksr_model.fit(X, self.spec)
         return self
 
     def novelty(self, Z: np.ndarray) -> np.ndarray:
@@ -134,18 +133,18 @@ class KpcaScorer:
     """Kernel PCA reconstruction residual scorer.
 
     Each fit keeps the smallest component count capturing 95 percent of
-    the centered spectrum of its training set.
+    the centered spectrum of its training set.  sigma may be "median",
+    resolved on each fit as ``OcksrScorer`` resolves it.
     """
 
     name = "kpca"
 
     def __init__(self, sigma: float | str = "median"):
-        self.sigma = sigma
+        self.spec = KernelSpec(sigma=sigma)
         self._model: baselines.KpcaModel | None = None
 
     def fit(self, X: np.ndarray) -> "KpcaScorer":
-        spec = KernelSpec(sigma=_resolve_sigma(self.sigma, X))
-        self._model = baselines.kpca_fit(X, spec)
+        self._model = baselines.kpca_fit(X, self.spec)
         return self
 
     def novelty(self, Z: np.ndarray) -> np.ndarray:
@@ -304,9 +303,10 @@ def bench_run(
     missing cells are excluded from the rank aggregation with a warning.
 
     Raises:
-        ValueError: before any cell runs, for an unknown method or a
-            dataset name or method given twice.
+        ValueError: before any cell runs, for a bad sigma, an unknown
+            method, or a dataset name or method given twice.
     """
+    KernelSpec(sigma=sigma)  # a bad sigma raises before any cell runs
     for name in methods:
         make_scorer(name)  # an unknown name raises before any cell runs
     for kind, names in (("dataset", [d.name for d in datasets]), ("method", methods)):

@@ -26,7 +26,8 @@ from .cholesky import (
     factor_batch,
     solve_upper,
 )
-from .kernel import KernelSpec, _probes, _rbf, _sq_dists, gram
+from .kernel import (KernelSpec, _probes, _rbf, _real_sigma, _sq_dists, gram,
+                     median_pairwise_distance)
 
 logger = logging.getLogger(__name__)
 
@@ -56,7 +57,8 @@ class Model:
 
     ``nu`` is the response vector the coefficients were solved against:
     1 for positive rows and 0 for negative rows, in the order the rows
-    are retained.  ``n_neg`` is the count of its zeros.
+    are retained.  ``n_neg`` is the count of its zeros.  ``spec``'s sigma
+    is a real: the fits resolve a "median" one before they build a model.
 
     A ``Model`` built directly shares memory with the arrays it is
     given: its fields are read-only views, the caller's arrays stay
@@ -99,6 +101,7 @@ class Model:
             raise ValueError("X_train must be a nonempty 2-d array")
         if nu.shape[0] != X.shape[0]:
             raise ValueError("nu must have one entry per training row")
+        _real_sigma(self.spec)
         if self.alpha is None:
             if self.factor is None or self.tails is None or self.factor.m != X.shape[0]:
                 raise ValueError("a model without alpha needs the factor of its rows")
@@ -157,16 +160,19 @@ def _factor_with_ladder(
 ) -> tuple[CholeskyFactor, KernelSpec]:
     """Factor the Gram matrix against nu, escalating delta on failure.
 
-    Returns (factor, effective spec).  The back substitution is left to
-    the model's first read of alpha.
+    Returns (factor, effective spec).  The first rung resolves a
+    "median" sigma; later rungs reuse its value.  The back substitution
+    is left to the model's first read of alpha.
     """
-    deltas = [spec.delta] + [d for d in ladder if d > spec.delta]
+    requested = spec.delta
+    deltas = [requested] + [d for d in ladder if d > requested]
     last: NotPositiveDefinite | None = None
     for delta in deltas:
         # factor_batch factors K in place, the one n x n array of the
         # fit, so a failed rung (rare) builds it again from the rows
+        K, spec = gram(X, replace(spec, delta=delta))
         try:
-            factor = factor_batch(gram(X, replace(spec, delta=delta)), nu)
+            factor = factor_batch(K, nu)
         except NotPositiveDefinite as exc:
             # without its traceback, which holds the consumed K
             last = exc.with_traceback(None)
@@ -175,10 +181,13 @@ def _factor_with_ladder(
                 delta, exc.pivot_index,
             )
             continue
-        if delta != spec.delta:
+        finally:
+            # released before the next rung builds its own
+            del K
+        if delta != requested:
             logger.warning("regularizer escalated from delta=%g to delta=%g",
-                           spec.delta, delta)
-        return factor, replace(spec, delta=delta)
+                           requested, delta)
+        return factor, spec
     assert last is not None
     raise last
 
@@ -200,7 +209,8 @@ def fit(X_pos, spec: KernelSpec) -> Model:
 
     The response vector is all ones, so at delta = 0 every training row
     projects exactly to the target value 1 and the training projections
-    have zero spread.
+    have zero spread.  A "median" sigma is the median pairwise distance
+    of X_pos, taken from the distances of the fit's Gram matrix.
     """
     X = _as_rows(X_pos)
     nu = np.ones(X.shape[0])
@@ -212,13 +222,18 @@ def fit_supervised(X_pos, X_neg, spec: KernelSpec) -> Model:
     """Train on target rows plus known outlier rows.
 
     Rows are retained positives first, then negatives; the response
-    vector is 1 on the positive block and 0 on the negative block.  With
-    no negatives this reduces exactly to ``fit``.
+    vector is 1 on the positive block and 0 on the negative block.  A
+    "median" sigma is the median pairwise distance of the positive rows.
+    With no negatives this reduces exactly to ``fit``.
     """
     X_pos = _as_rows(X_pos)
     if X_neg is None or len(X_neg) == 0:
         return fit(X_pos, spec)
     X_neg = _as_rows(X_neg, X_pos.shape[1])
+    if isinstance(spec.sigma, str):
+        # a "median" sigma is the targets' median, not that of all rows,
+        # as `ocksr train --negatives` has always taken it
+        spec = replace(spec, sigma=median_pairwise_distance(X_pos))
     X = np.vstack([X_pos, X_neg])
     nu = np.concatenate([np.ones(X_pos.shape[0]), np.zeros(X_neg.shape[0])])
     factor, eff = _factor_with_ladder(X, nu, spec)
@@ -342,7 +357,8 @@ def calibrate_threshold(X_pos, spec: KernelSpec, target_rejection: float) -> flo
 
     Args:
         X_pos: at least 3 target rows.
-        spec: kernel configuration; its delta escalates as in ``fit``.
+        spec: kernel configuration; a "median" sigma is resolved over
+            X_pos as in ``fit``, and delta escalates as in ``fit``.
         target_rejection: desired training rejection rate in [0, 1).
 
     Raises:

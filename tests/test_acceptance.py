@@ -153,7 +153,7 @@ def test_response_scale_invariance():
     train, test = random_split(ds, 0.5, seed=77)
     X = train.targets()
     spec = KernelSpec(sigma=median_pairwise_distance(X), delta=0.0)
-    K = gram(X, spec)
+    K = gram(X, spec)[0]  # solve_spd reads its lower triangle
     Kz = kernel_cross(X, test.X, spec)
     aucs = {}
     for c in (1.0, 0.5, 3.0, -2.0):

@@ -250,7 +250,7 @@ def test_block_append_matches_row_chain_and_batch(seed, n, data, delta):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, 6))
     spec = KernelSpec(sigma=0.5 * median_pairwise_distance(X), delta=delta)
-    K, b = gram(X, spec), np.ones(n)
+    K, b = gram(X, spec)[0], np.ones(n)
     start = data.draw(st.integers(1, n - 1), label="start")
     f = factor_batch(K[:start, :start].copy(), b[:start])
     lo = start
@@ -281,7 +281,7 @@ def test_duplicate_row_in_block_reports_its_global_index(j, twin):
     n, m = 20, 7
     X = rng.standard_normal((n + m, 4))
     X[n + j] = X[twin]
-    K, b = gram(X, KernelSpec(sigma=median_pairwise_distance(X))), np.ones(n + m)
+    K, b = gram(X, KernelSpec(sigma=median_pairwise_distance(X)))[0], np.ones(n + m)
     f = factor_batch(K[:n, :n], b[:n])
     with pytest.raises(NotPositiveDefinite) as block:
         factor_batch(K[n:], b[n:], f)
@@ -304,7 +304,7 @@ def test_fixed_chunks_match_row_chain_and_batch(chunk, delta):
     start, n = 37, 37 + 2 * 64 + 5
     X = rng.standard_normal((n, 6))
     spec = KernelSpec(sigma=0.5 * median_pairwise_distance(X), delta=delta)
-    K, b = gram(X, spec), np.ones(n)
+    K, b = gram(X, spec)[0], np.ones(n)
     f = factor_batch(K[:start, :start].copy(), b[:start])
     for lo in range(start, n, chunk):
         hi = min(lo + chunk, n)
@@ -333,7 +333,7 @@ def test_duplicate_row_reports_its_global_index_at_every_block_size(m):
     for j, twin in cases:
         X = rng.standard_normal((n + m, 4))
         X[n + j] = X[twin]
-        K, b = gram(X, KernelSpec(sigma=median_pairwise_distance(X))), np.ones(n + m)
+        K, b = gram(X, KernelSpec(sigma=median_pairwise_distance(X)))[0], np.ones(n + m)
         f = factor_batch(K[:n, :n].copy(), b[:n])
         with pytest.raises(NotPositiveDefinite) as block:
             factor_batch(K[n:].copy(), b[n:], f)
@@ -350,7 +350,7 @@ def test_panel_border_matches_the_dense_triangular_solve(n, m, delta):
     # unpacked, with n on both sides of a panel edge
     rng = np.random.default_rng(100 * n + m)
     X = rng.standard_normal((n + m, 6))
-    K = gram(X, KernelSpec(sigma=0.5 * median_pairwise_distance(X), delta=delta))
+    K = gram(X, KernelSpec(sigma=0.5 * median_pairwise_distance(X), delta=delta))[0]
     base = factor_batch(K[:n, :n].copy(), np.ones(n))
     expected = border_block(base, K[n:, :n].T)
     R12t = np.asfortranarray(K[n:, :n])
@@ -364,7 +364,7 @@ def test_small_border_equals_one_row_calls_bit_for_bit(m):
     rng = np.random.default_rng(33)
     n = 200
     X = rng.standard_normal((n + m, 6))
-    K = gram(X, KernelSpec(sigma=median_pairwise_distance(X), delta=1e-8))
+    K = gram(X, KernelSpec(sigma=median_pairwise_distance(X), delta=1e-8))[0]
     b = rng.standard_normal(n + m)
     f = factor_batch(K[:n, :n].copy(), b[:n])
     block = factor_batch(K[n:].copy(), b[n:], f)
@@ -382,7 +382,7 @@ def test_failed_small_border_leaves_its_base_extendable():
     n, m = 20, BLOCK_BORDER_ROWS - 1
     X = rng.standard_normal((n + m, 4))
     X[n + 2] = X[3]
-    K = gram(X, KernelSpec(sigma=median_pairwise_distance(X)))
+    K = gram(X, KernelSpec(sigma=median_pairwise_distance(X)))[0]
     b = np.ones(n + m)
     f = factor_batch(K[:n, :n].copy(), b[:n])
     before, theta_before = packed_of(f).copy(), theta_of(f).copy()

@@ -469,6 +469,7 @@ def test_bad_sigma_exit_1(tmp_path):
              "--out", str(tmp_path / "r")]
     for argv, flag, value in [
         (train, "--sigma", "-2"), (train, "--sigma", "nan"), (train, "--sigma", "inf"),
+        (train, "--sigma", "mean"), (calibrate, "--sigma", "0"), (bench, "--sigma", "x"),
         (train, "--delta", "-1"), (train, "--delta", "nan"),
         # classify's rule: a threshold is a finite nonnegative real
         (score, "--tau", "nan"), (score, "--tau", "-1"), (score, "--tau", "inf"),

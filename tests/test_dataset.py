@@ -250,6 +250,14 @@ def test_dataset_validation():
         Dataset(np.zeros((1, 2)), np.array([3]))
 
 
+@pytest.mark.parametrize("labels", [[0.7, 1.9, 1.0], [1.0, np.nan, 0.0], [0, 1, -0.5]])
+def test_labels_are_checked_before_they_are_cast(labels):
+    # a cast to integers first would read 0.7 as 0 and 1.9 as 1
+    with pytest.raises(DataFormatError, match="lie in"):
+        Dataset(np.zeros((3, 2)), labels)
+    assert Dataset(np.zeros((3, 2)), [1.0, 0.0, 1.0]).labels.tolist() == [1, 0, 1]
+
+
 def test_dataset_arrays_read_only():
     ds = make_synthetic(4, 0, 2, 0.0, seed=0)
     with pytest.raises(ValueError):

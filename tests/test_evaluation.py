@@ -149,6 +149,11 @@ def test_roc_auc_validation():
         roc_auc(np.ones(3), np.ones(2))
     with pytest.raises(ValueError, match="lie in"):
         roc_auc(np.ones(2), np.array([1, 2]))
+    # the values are checked as given, not after a cast to integers
+    for labels in ([0.5, 1.0, 1.0], [0.0, 1.0, np.nan]):
+        with pytest.raises(ValueError, match="lie in"):
+            roc_auc([0.1, 0.9, 0.3], labels)
+    assert roc_auc([0.1, 0.9, 0.3], [1.0, 0.0, 1.0]) == 1.0
 
 
 def test_make_scorer_names_and_unknown():
@@ -381,6 +386,20 @@ def test_bench_run_rejects_unknown_method():
     ds = make_synthetic(10, 10, 3, 2.0, seed=11)
     with pytest.raises(ValueError, match="unknown method"):
         bench_run([ds], ["ocksr", "svdd"], repeats=1, base_seed=0)
+
+
+def test_bench_run_rejects_a_bad_sigma_before_any_cell(monkeypatch):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(ev, "repeated_aucs", no_cells)
+    monkeypatch.setattr(ev, "best_neighborhood", no_cells)
+    ds = make_synthetic(10, 10, 3, 2.0, seed=11)
+    for sigma in (-1.0, 0.0, np.nan, "mean"):
+        with pytest.raises(ValueError, match="sigma"):
+            bench_run([ds], ["ocksr", "kmeans"], 2, 0, sigma=sigma, fixed_k=3)
+        with pytest.raises(ValueError, match="sigma"):
+            OcksrScorer(sigma=sigma)
 
 
 def test_bench_run_rejects_repeated_dataset_or_method(monkeypatch):

@@ -26,10 +26,15 @@ def kernel_eval(x, y, spec: KernelSpec) -> float:
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        KernelSpec(sigma=0.0)
+    for bad in (0.0, -1.0, np.nan, np.inf, "mean", "1.0", ""):
+        with pytest.raises(ValueError, match="sigma"):
+            KernelSpec(sigma=bad)
     with pytest.raises(ValueError):
         KernelSpec(delta=-1e-9)
+    # "median" is a valid sigma that only a Gram matrix can resolve
+    median = KernelSpec(sigma="median")
+    with pytest.raises(ValueError, match="median"):
+        kernel_cross(np.zeros((3, 2)), np.ones((2, 2)), median)
 
 
 def test_eval_zero_distance_is_one():
@@ -73,16 +78,27 @@ def test_eval_monotone_in_distance():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+@given(st.integers(0, 10**6), st.integers(1, 30), st.integers(1, 6),
+       st.sampled_from([0.0, 0.125]))
+@settings(max_examples=40, deadline=None)
+def test_gram_resolves_the_median_from_its_own_distances(seed, n, d, delta):
+    X = np.random.default_rng(seed).standard_normal((n, d))
+    K, used = gram(X, KernelSpec(sigma="median", delta=delta))
+    assert used == KernelSpec(sigma=median_pairwise_distance(X), delta=delta)
+    np.testing.assert_array_equal(np.tril(K), np.tril(gram(X, used)[0]))
+
+
 def test_gram_single_point():
-    K = gram(np.array([[1.0, 2.0]]), KernelSpec(delta=0.25))
+    K, _ = gram(np.array([[1.0, 2.0]]), KernelSpec(delta=0.25))
     np.testing.assert_array_equal(K, [[1.25]])
 
 
 def test_gram_duplicate_points():
+    # gram fills the lower triangle and the diagonal; eigvalsh reads them
     X = np.array([[1.0, 2.0], [1.0, 2.0]])
-    np.testing.assert_array_equal(gram(X, KernelSpec()), [[1.0, 1.0], [1.0, 1.0]])
-    K = gram(X, KernelSpec(delta=0.1))
-    np.testing.assert_allclose(K, [[1.1, 1.0], [1.0, 1.1]], rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(np.tril(gram(X, KernelSpec())[0]), [[1.0, 0.0], [1.0, 1.0]])
+    K = gram(X, KernelSpec(delta=0.1))[0]
+    np.testing.assert_allclose(np.tril(K), [[1.1, 0.0], [1.0, 1.1]], rtol=0, atol=1e-15)
     assert np.linalg.eigvalsh(K).min() == pytest.approx(0.1, rel=1e-12)
 
 
@@ -93,10 +109,10 @@ def test_gram_structure(seed, n, d):
     X = rng.standard_normal((n, d))
     spec = KernelSpec(sigma=float(rng.uniform(0.5, 2.5)),
                       delta=float(rng.choice([0.0, 1e-6, 0.2])))
-    K = gram(X, spec)
-    assert np.array_equal(K, K.T)
+    K, used = gram(X, spec)
+    assert used == spec
     assert np.all(np.diag(K) == 1.0 + spec.delta)
-    off = K[~np.eye(n, dtype=bool)]
+    off = K[np.tril_indices(n, -1)]
     assert np.all((off >= 0.0) & (off <= 1.0))
 
 
@@ -105,8 +121,8 @@ def test_gram_structure(seed, n, d):
 def test_gram_positive_semidefinite(seed, n, d):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
-    K = gram(X, KernelSpec(sigma=float(rng.uniform(0.5, 2.0))))
-    assert np.linalg.eigvalsh(K).min() >= -1e-10
+    K = gram(X, KernelSpec(sigma=float(rng.uniform(0.5, 2.0))))[0]
+    assert np.linalg.eigvalsh(K).min() >= -1e-10  # eigvalsh reads the lower triangle
 
 
 @given(st.integers(0, 10**6))
@@ -117,7 +133,7 @@ def test_gram_factors_after_tiny_ridge(seed):
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(2, 30)), int(rng.integers(4, 8))
     X = rng.standard_normal((n, d))
-    K = gram(X, KernelSpec(sigma=1.0))
+    K = gram(X, KernelSpec(sigma=1.0))[0]
     factor_batch(K + 1e-12 * np.eye(n), np.ones(n))
 
 
@@ -127,7 +143,7 @@ def test_gram_ridge_floors_spectrum(seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((5, 3))
     delta = float(rng.uniform(0.01, 0.5))
-    K = gram(X, KernelSpec(sigma=1.0, delta=delta))
+    K = gram(X, KernelSpec(sigma=1.0, delta=delta))[0]
     assert np.linalg.eigvalsh(K).min() >= delta - 1e-12
 
 
@@ -137,9 +153,9 @@ def test_gram_and_cross_match_scalar_oracle(seed, n, d):
     rng = np.random.default_rng(seed)
     X, Z = rng.standard_normal((n, d)), rng.standard_normal((3, d))
     spec = KernelSpec(sigma=float(rng.uniform(0.5, 2.5)), delta=0.125)
-    K, C = gram(X, spec), kernel_cross(X, Z, spec)
+    K, C = gram(X, spec)[0], kernel_cross(X, Z, spec)
     for i in range(n):
-        for j in range(n):
+        for j in range(i + 1):  # the lower triangle and the diagonal
             ref = kernel_eval(X[i], X[j], spec) + spec.delta * (i == j)
             assert K[i, j] == pytest.approx(ref, rel=0, abs=1e-14)
         for p in range(3):
@@ -151,9 +167,11 @@ def test_kernel_cross_one_row_matches_gram_column():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((8, 3))
     spec = KernelSpec(sigma=1.1)
-    K = gram(X, spec)
+    K = gram(X, spec)[0]
     for j in (0, 3, 7):
-        np.testing.assert_allclose(kernel_cross(X, X[j:j + 1], spec)[0], K[:, j],
+        # column j of the symmetric kernel, read from the lower triangle
+        column = np.concatenate([K[j, :j], K[j:, j]])
+        np.testing.assert_allclose(kernel_cross(X, X[j:j + 1], spec)[0], column,
                                    rtol=0, atol=1e-14)
 
 
@@ -253,7 +271,7 @@ def test_median_pair_count_parity():
 
 
 def test_median_spans_several_row_blocks():
-    # 1100 rows make 604,450 pairs: more than one block of the pair vector
+    # 1100 rows make 604,450 pairs, 21 of the rows coinciding
     X = np.random.default_rng(13).standard_normal((1100, 3)) + 1e4
     X[500:520] = X[3]
     assert median_pairwise_distance(X) == pytest.approx(_pdist_median(X), rel=1e-14)
@@ -265,4 +283,5 @@ def test_median_spans_several_row_blocks():
 def test_gram_matches_explicit_differences_under_offsets(seed, n, d, offset, twins):
     X = _offset_rows(seed, n, d, offset, 1.0, twins)
     spec = KernelSpec(sigma=median_pairwise_distance(X), delta=0.125)
-    np.testing.assert_allclose(gram(X, spec), oracles.gram(X, spec), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(np.tril(gram(X, spec)[0]), np.tril(oracles.gram(X, spec)),
+                               rtol=0, atol=1e-14)

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg.blas import dtpsv
 
+import ocksr.kernel as kernel_module
 import ocksr.model as model_module
-from ocksr.baselines import kmeans_fit, knndd_fit, kpca_fit
+from ocksr.baselines import kmeans_fit, knndd_fit, kpca_fit, kpca_score
 from ocksr.cholesky import (
     CholeskyFactor,
     NotPositiveDefinite,
@@ -20,7 +21,13 @@ from ocksr.cholesky import (
 )
 from ocksr.dataset import Dataset
 from ocksr.evaluation import friedman_test
-from ocksr.kernel import KernelSpec, gram, kernel_cross, median_pairwise_distance
+from ocksr.kernel import (
+    KernelSpec,
+    _sq_dists,
+    gram,
+    kernel_cross,
+    median_pairwise_distance,
+)
 from ocksr.model import (
     DELTA_LADDER,
     Model,
@@ -123,7 +130,7 @@ def test_incremental_on_supervised_base():
     extra = rng.standard_normal((9, 4))
     spec = KernelSpec(sigma=1.2, delta=1e-8)
     inc = fit_incremental(fit_supervised(pos, neg, spec), extra)
-    K = gram(np.vstack([pos, neg, extra]), spec)
+    K = oracles.gram(np.vstack([pos, neg, extra]), spec)
     nu = np.concatenate([np.ones(20), np.zeros(6), np.ones(9)])
     np.testing.assert_allclose(inc.alpha, np.linalg.solve(K, nu), atol=1e-9)
     np.testing.assert_array_equal(inc.nu, nu)
@@ -199,7 +206,7 @@ def test_concurrent_appends_from_one_base_match_batch():
     X = rng.standard_normal((n, d))
     new = rng.standard_normal((n_threads, d))
     refs = [fit(np.vstack([X, new[i]]), spec) for i in range(n_threads)]
-    K = gram(np.vstack([X, new]), spec)
+    K = gram(np.vstack([X, new]), spec)[0]  # factor_batch reads the lower triangle
     ones = np.ones(n + 1)
     ref_factors = [
         R_of(factor_batch(K[np.r_[:n, n + i]][:, np.r_[:n, n + i]], ones))
@@ -243,7 +250,7 @@ def test_concurrent_failed_borders_overwrite_no_factor():
     n, d, n_threads, trials = 200, 8, 4, 40
     X = rng.standard_normal((n + 4, d))
     X[n + 2] = X[5]
-    K = gram(X, KernelSpec(sigma=float(np.sqrt(d))))
+    K = gram(X, KernelSpec(sigma=float(np.sqrt(d))))[0]  # read below the diagonal
     ones = np.ones(n + 4)
     late = np.append(K[n + 3, :n], K[n + 3, n + 3])[None, :]
     bases = []
@@ -371,6 +378,10 @@ def test_the_fit_gram_is_the_only_n_by_n_array():
     X, Z, X_new = (rng.standard_normal((k, d)) for k in (n, n, 64))
     spec = KernelSpec(sigma=float(np.sqrt(2.0 * d)), delta=1e-8)
     nn = 8 * n * n  # the bytes of one n x n float64 array
+    # a "median" fit takes its bandwidth from K's own triangle: the pair
+    # vector it partitions is freed before the factor is written
+    _, peak = _traced_peak(lambda: fit(X, replace(spec, sigma="median")))
+    assert peak < 1.75 * nn
     model, peak = _traced_peak(lambda: fit(X, spec))
     assert peak < 1.75 * nn
     _, peak = _traced_peak(lambda: score_batch(model, Z))
@@ -464,7 +475,7 @@ def test_calibrate_matches_pinned_refit_oracle(seed, n, d, sigma_scale, delta,
     spec = KernelSpec(sigma=sigma_scale * median_pairwise_distance(X), delta=delta)
     # both paths lose about eps * cond digits; keep to well-conditioned
     # sets (gram already adds delta to the diagonal: K + delta I)
-    K = gram(X, spec)
+    K = oracles.gram(X, spec)
     assume(np.linalg.cond(K) <= 1e6)
     tau = calibrate_threshold(X, spec, rejection)
     assert tau == pytest.approx(_pinned_refit_tau(X, spec, rejection), rel=1e-9)
@@ -728,12 +739,12 @@ def test_append_without_caches_solves_once_at_stored_delta(tmp_path, monkeypatch
         nu = np.concatenate([np.ones(12), np.zeros(4), np.ones(5)])
         np.testing.assert_array_equal(inc.nu, nu)
         np.testing.assert_array_equal(inc.X_train, np.vstack([pos, neg, extra]))
-        K = gram(inc.X_train, spec)
+        K = oracles.gram(inc.X_train, spec)
         np.testing.assert_allclose(inc.alpha, np.linalg.solve(K, nu), atol=1e-9)
         assert inc.n_neg == 4 and inc.spec == spec and inc.tau == source.tau
         # the result carries caches: the next append borders its factor
         again = fit_incremental(inc, extra[:2] + 0.5)
-        K = gram(again.X_train, spec)
+        K = oracles.gram(again.X_train, spec)
         np.testing.assert_allclose(again.alpha, np.linalg.solve(K, again.nu),
                                    atol=1e-9)
     # one factorization of all 21 rows, then one border by 2 rows onto it
@@ -745,6 +756,8 @@ def test_model_validation():
         Model(np.zeros((2, 2)), np.zeros(3), np.ones(2), KernelSpec())
     with pytest.raises(TypeError):  # the count is read from nu
         Model(np.zeros((2, 2)), np.zeros(2), np.ones(2), KernelSpec(), n_neg=1)
+    with pytest.raises(ValueError, match="median"):  # a fit resolves it first
+        Model(np.zeros((2, 2)), np.zeros(2), np.ones(2), KernelSpec(sigma="median"))
 
 
 def test_model_and_dataset_leave_caller_arrays_writable():
@@ -822,6 +835,82 @@ def test_fit_matches_copying_oracle(seed, n, d, sigma_scale, delta):
     ref = oracles.fit_alpha(X, m.spec)
     cond = np.linalg.cond(oracles.gram(X, m.spec))
     assert np.abs(m.alpha - ref).max() <= 1e-12 * cond * np.abs(ref).max()
+
+
+@given(st.integers(0, 10**6), st.integers(3, 40), st.integers(1, 6),
+       st.sampled_from([0.0, 1e-8, 1e-4]), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_median_fits_equal_the_resolved_sigma_bit_for_bit(seed, n, d, delta, twins):
+    # "median" is resolved from the distances the fit turns into K; a
+    # fit given that value instead builds the same K and the same factor
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    X[rng.integers(n, size=twins)] = X[0]
+    sigma = median_pairwise_distance(X)
+    median, real = KernelSpec(sigma="median", delta=delta), KernelSpec(sigma, delta)
+    a, b = fit(X, median), fit(X, real)
+    assert a.spec == b.spec and a.spec.sigma == sigma
+    np.testing.assert_array_equal(packed_of(a.factor), packed_of(b.factor))
+    np.testing.assert_array_equal(a.alpha, b.alpha)
+    assert calibrate_threshold(X, median, 0.1) == calibrate_threshold(X, real, 0.1)
+    if n > 3:
+        p, q = kpca_fit(X, median, q=2), kpca_fit(X, real, q=2)
+        assert p.spec == q.spec == replace(real, delta=0.0)
+        Z = rng.standard_normal((5, d))
+        np.testing.assert_array_equal(kpca_score(p, Z), kpca_score(q, Z))
+
+
+def test_a_median_fit_makes_one_distance_pass(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return _sq_dists(*args, **kwargs)
+
+    monkeypatch.setattr(kernel_module, "_sq_dists", counting)
+    X = np.random.default_rng(46).standard_normal((30, 4))
+    m = fit(X, KernelSpec(sigma="median", delta=1e-8))
+    assert calls == [(30, 4)]
+    assert m.spec.sigma == median_pairwise_distance(X)
+
+
+def test_escalating_ladder_resolves_the_median_once(monkeypatch, caplog):
+    # the data of test_failed_rung_rebuilds_consumed_gram: the first rung
+    # fails at delta = 0, so two K are built, and the second reuses the
+    # first one's sigma
+    X = np.random.default_rng(14).standard_normal((12, 3))
+    X[7] = X[2]
+    sigma = median_pairwise_distance(X)
+    grams, medians = [], []
+    real_median = kernel_module._lower_median
+
+    def counting_gram(X, spec):
+        grams.append(spec)
+        return gram(X, spec)
+
+    def counting_median(*args):
+        medians.append(real_median(*args))
+        return medians[-1]
+
+    monkeypatch.setattr(model_module, "gram", counting_gram)
+    monkeypatch.setattr(kernel_module, "_lower_median", counting_median)
+    with caplog.at_level(logging.WARNING, logger="ocksr.model"):
+        m = fit(X, KernelSpec(sigma="median"))
+    assert len(caplog.records) == 2  # one failed rung, one escalation
+    assert medians == [sigma]
+    assert grams == [KernelSpec("median", 0.0), KernelSpec(sigma, DELTA_LADDER[0])]
+    assert m.spec == KernelSpec(sigma, DELTA_LADDER[0])
+
+
+def test_supervised_median_is_the_targets_median():
+    rng = np.random.default_rng(47)
+    pos, neg = rng.standard_normal((15, 3)), rng.standard_normal((5, 3)) + 4.0
+    m = fit_supervised(pos, neg, KernelSpec(sigma="median", delta=1e-8))
+    sigma = median_pairwise_distance(pos)
+    assert sigma != median_pairwise_distance(np.vstack([pos, neg]))
+    ref = fit_supervised(pos, neg, KernelSpec(sigma=sigma, delta=1e-8))
+    assert m.spec == ref.spec
+    np.testing.assert_array_equal(m.alpha, ref.alpha)
 
 
 def test_failed_rung_rebuilds_consumed_gram(monkeypatch, caplog):
