@@ -2,7 +2,9 @@
 
 Each scorer maps a matrix of probe rows to nonnegative novelty scores,
 one per row, where larger means more anomalous, so all of them plug
-into the same AUC evaluation as the kernel regression model.
+into the same AUC evaluation as the kernel regression model.  The k-NN
+scorer takes a whole sweep of neighbor counts at once and returns one
+row of scores per k.
 """
 
 from __future__ import annotations
@@ -80,48 +82,46 @@ def kmeans_score(model: KMeansModel, Z) -> np.ndarray:
 # k-nearest-neighbor distance ratio
 
 
-@dataclass(frozen=True, eq=False)
-class KnnddModel:
-    X: np.ndarray
-    k: int
-    self_kth: np.ndarray  # per-row distance to its own k-th nearest other row
+def knndd_novelty(X_pos, Z, ks) -> np.ndarray:
+    """Ratio of each probe's k-th neighbor distance to that neighbor's own, per k.
 
+    For each k in ``ks`` and each probe row of Z, the numerator is the
+    distance to its k-th nearest training row (ties resolve to the
+    earlier row); the denominator is the distance from that row to its
+    own k-th nearest training row (itself excluded).  A probe inside the
+    training cloud scores near 1, a probe on a training row scores 0.  A
+    zero denominator gives 0 for a zero numerator and inf otherwise.
 
-def _kth_nn_within(X: np.ndarray, k: int) -> np.ndarray:
-    d = np.sqrt(_sq_dists(X, X))
-    np.fill_diagonal(d, np.inf)
-    return np.sort(d, axis=1)[:, k - 1]
+    The training distances are sorted once and the probe distances
+    argsorted once, so a whole sweep costs one fit.
 
+    Args:
+        X_pos: training rows.
+        Z: probe rows.
+        ks: neighbor counts, each 1 <= k <= n - 1, in any order.
 
-def knndd_fit(X_pos, k: int) -> KnnddModel:
-    """Retain the training rows and each row's own k-th neighbor distance."""
-    X = np.asarray(X_pos, dtype=np.float64)
-    n = X.shape[0]
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
-    return KnnddModel(X=X, k=k, self_kth=_kth_nn_within(X, k))
-
-
-def knndd_score(model: KnnddModel, Z) -> np.ndarray:
-    """Ratio of each probe's k-th neighbor distance to that neighbor's own.
-
-    For each probe row of Z, the numerator is the distance to its k-th
-    nearest training row (ties resolve to the earlier row); the
-    denominator is the distance from that row to its own k-th nearest
-    training row (itself excluded).  A probe inside the training cloud
-    scores near 1, a probe on a training row scores 0.  A zero
-    denominator gives 0 for a zero numerator and inf otherwise.
+    Returns:
+        An array of shape (len(ks), len(Z)), one row per k.
     """
     from scipy.spatial.distance import cdist  # here, so importing ocksr skips it
 
-    dists = cdist(Z, model.X)
-    rows = np.arange(dists.shape[0])
-    j = np.argsort(dists, axis=1, kind="stable")[:, model.k - 1]
-    num = dists[rows, j]
-    den = model.self_kth[j]
+    X = np.asarray(X_pos, dtype=np.float64)
+    n = X.shape[0]
+    ks = [int(k) for k in ks]
+    bad = [k for k in ks if not 1 <= k <= n - 1]
+    if bad:
+        raise ValueError(f"k must lie in [1, {n - 1}], got {bad[0]}")
+    cols = np.array(ks, dtype=np.intp) - 1
+    d = np.sqrt(_sq_dists(X, X))
+    np.fill_diagonal(d, np.inf)
+    self_sorted = np.sort(d, axis=1)  # column k - 1: each row's k-th neighbor
+    dists = cdist(Z, X)
+    j = np.argsort(dists, axis=1, kind="stable")[:, cols]
+    num = np.take_along_axis(dists, j, axis=1)
+    den = self_sorted[j, cols]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = num / den
-    return np.where(den == 0.0, np.where(num == 0.0, 0.0, np.inf), ratio)
+    return np.where(den == 0.0, np.where(num == 0.0, 0.0, np.inf), ratio).T
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Scores are novelty values (larger = more anomalous); the AUC is the
 probability that a random outlier scores above a random target, ties
-counted one half.
+counted one half.  A method is a name in ``SCORER_NAMES``: ``novelties``
+fits it on one split's train targets and returns a table of novelties
+for the test rows, one row per neighborhood size for the methods that
+sweep one.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -62,29 +66,16 @@ def roc_auc(scores, labels) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scorers
+# methods
+
+SCORER_NAMES = ("ocksr", "kmeans", "knndd", "kpca")
 
 
-class OcksrScorer:
-    """Kernel regression novelty scorer.
-
-    sigma may be "median": each fit's Gram matrix resolves it as the
-    median pairwise distance of that fit's training rows.
-    """
-
-    name = "ocksr"
-
-    def __init__(self, sigma: float | str = "median"):
-        self.spec = KernelSpec(sigma=sigma)
-        self._model: ocksr_model.Model | None = None
-
-    def fit(self, X: np.ndarray) -> "OcksrScorer":
-        self._model = ocksr_model.fit(X, self.spec)
-        return self
-
-    def novelty(self, Z: np.ndarray) -> np.ndarray:
-        assert self._model is not None, "fit before scoring"
-        return ocksr_model.score_batch(self._model, Z)[1]
+def _check_method(name: str) -> str:
+    """A method name from ``SCORER_NAMES``, or ValueError."""
+    if name not in SCORER_NAMES:
+        raise ValueError(f"unknown method {name!r} (choose from {SCORER_NAMES})")
+    return name
 
 
 def _check_k(k: int) -> int:
@@ -97,75 +88,40 @@ def _check_k(k: int) -> int:
     return k
 
 
-class KMeansScorer:
-    name = "kmeans"
+def novelties(
+    name: str,
+    X: np.ndarray,
+    Z: np.ndarray,
+    sigma: float | str = "median",
+    ks=NEIGHBORHOOD_RANGE,
+) -> np.ndarray:
+    """Novelty of each probe row of Z under method ``name`` fit on the rows X.
 
-    def __init__(self, k: int = 5):
-        self.k = _check_k(k)
-        self._model: baselines.KMeansModel | None = None
+    ocksr (kernel regression) and kpca (kernel PCA reconstruction
+    residual, keeping 95 percent of the centered spectrum) return one
+    row; sigma may be "median", which each fit resolves over its own
+    training rows.  kmeans and knndd return one row per k in ``ks``, each
+    k capped at what the n training rows allow (n centers, n - 1
+    neighbors); kmeans fits once per k from seed 0, knndd once for all.
 
-    def fit(self, X: np.ndarray) -> "KMeansScorer":
-        self._model = baselines.kmeans_fit(X, min(self.k, X.shape[0]), seed=0)
-        return self
+    Returns:
+        An array of shape (1 or len(ks), len(Z)).
 
-    def novelty(self, Z: np.ndarray) -> np.ndarray:
-        assert self._model is not None, "fit before scoring"
-        return baselines.kmeans_score(self._model, Z)
-
-
-class KnnddScorer:
-    name = "knndd"
-
-    def __init__(self, k: int = 5):
-        self.k = _check_k(k)
-        self._model: baselines.KnnddModel | None = None
-
-    def fit(self, X: np.ndarray) -> "KnnddScorer":
-        self._model = baselines.knndd_fit(X, min(self.k, X.shape[0] - 1))
-        return self
-
-    def novelty(self, Z: np.ndarray) -> np.ndarray:
-        assert self._model is not None, "fit before scoring"
-        return baselines.knndd_score(self._model, Z)
-
-
-class KpcaScorer:
-    """Kernel PCA reconstruction residual scorer.
-
-    Each fit keeps the smallest component count capturing 95 percent of
-    the centered spectrum of its training set.  sigma may be "median",
-    resolved on each fit as ``OcksrScorer`` resolves it.
+    Raises:
+        ValueError: an unknown method name, a bad sigma or a k below 1.
     """
-
-    name = "kpca"
-
-    def __init__(self, sigma: float | str = "median"):
-        self.spec = KernelSpec(sigma=sigma)
-        self._model: baselines.KpcaModel | None = None
-
-    def fit(self, X: np.ndarray) -> "KpcaScorer":
-        self._model = baselines.kpca_fit(X, self.spec)
-        return self
-
-    def novelty(self, Z: np.ndarray) -> np.ndarray:
-        assert self._model is not None, "fit before scoring"
-        return baselines.kpca_score(self._model, Z)
-
-
-_SCORERS = {
-    "ocksr": OcksrScorer,
-    "kmeans": KMeansScorer,
-    "knndd": KnnddScorer,
-    "kpca": KpcaScorer,
-}
-SCORER_NAMES = tuple(_SCORERS)
-
-
-def make_scorer(name: str, **params):
-    """Construct a scorer by name: ocksr, kmeans, knndd, or kpca."""
-    if name not in _SCORERS:
-        raise ValueError(f"unknown method {name!r} (choose from {SCORER_NAMES})")
-    return _SCORERS[name](**params)
+    _check_method(name)
+    n = X.shape[0]
+    if name == "ocksr":
+        fitted = ocksr_model.fit(X, KernelSpec(sigma=sigma))
+        return ocksr_model.score_batch(fitted, Z)[1][None, :]
+    if name == "kpca":
+        return baselines.kpca_score(baselines.kpca_fit(X, KernelSpec(sigma=sigma)),
+                                    Z)[None, :]
+    if name == "kmeans":
+        return np.array([baselines.kmeans_score(baselines.kmeans_fit(X, min(k, n), 0), Z)
+                         for k in ks]).reshape(len(ks), len(Z))
+    return baselines.knndd_novelty(X, Z, [min(k, n - 1) for k in ks])
 
 
 # ---------------------------------------------------------------------------
@@ -181,28 +137,30 @@ def _check_repeats(repeats: int) -> int:
 
 def repeated_aucs(
     dataset: Dataset,
-    scorers,
+    scorer,
     repeats: int,
     base_seed: int,
 ) -> np.ndarray:
-    """AUC table, one row per scorer and one column per seeded repeat.
+    """AUC table, one row per row of novelties and one column per seeded repeat.
 
     Repeat r draws one split with seed base_seed + r, training on
-    ``TRAIN_FRACTION`` of the targets; every scorer fits on its train
-    targets and scores its test rows.  Any split or fit failure is
-    re-raised with the repeat index attached.
+    ``TRAIN_FRACTION`` of the targets.  ``scorer(X_train, Z)`` is called
+    once per split with the train targets and the test rows, and returns
+    novelties of shape (p, len(Z)), say one row per k of a sweep; each
+    row gives one AUC.  Any split, scorer or AUC failure is re-raised
+    with the repeat index attached.
     """
-    out = np.empty((len(scorers), _check_repeats(repeats)))
-    for r in range(repeats):
+    columns = []
+    for r in range(_check_repeats(repeats)):
         seed = base_seed + r
         try:
             train, test = random_split(dataset, TRAIN_FRACTION, seed)
-            targets = train.targets()
-            for i, scorer in enumerate(scorers):
-                out[i, r] = roc_auc(scorer.fit(targets).novelty(test.X), test.labels)
+            columns.append([roc_auc(scores, test.labels)
+                            for scores in scorer(train.targets(), test.X)])
         except Exception as exc:
             raise RuntimeError(f"repeat {r} (seed {seed}) failed: {exc}") from exc
-    return out
+    # rows made contiguous, so each row's mean sums in one fixed order
+    return np.array(columns).T.copy()
 
 
 def best_neighborhood(
@@ -214,12 +172,20 @@ def best_neighborhood(
 ) -> tuple[int, np.ndarray]:
     """Sweep the neighborhood parameter and keep the best mean AUC.
 
-    Every k is scored on the same seeded splits.  The first maximal mean
-    wins, so ties resolve to the earliest k in ``ks`` and a NaN mean
-    never wins.
+    One ``repeated_aucs`` call scores every k on the same seeded splits.
+    The first maximal mean wins, so ties resolve to the earliest k in
+    ``ks`` and a NaN mean never wins.
+
+    Raises:
+        ValueError: ``name`` is not kmeans or knndd, or ``ks`` is empty
+            or holds a k below 1.
     """
-    ks = [int(k) for k in ks]
-    table = repeated_aucs(dataset, [make_scorer(name, k=k) for k in ks],
+    if name not in ("kmeans", "knndd"):
+        raise ValueError(f"method {name!r} has no neighborhood to sweep")
+    ks = [_check_k(int(k)) for k in ks]
+    if not ks:
+        raise ValueError("the neighborhood sweep needs at least one k")
+    table = repeated_aucs(dataset, lambda X, Z: novelties(name, X, Z, ks=ks),
                           repeats, base_seed)
     best = int(np.nanargmax(table.mean(axis=1)))
     return ks[best], table[best]
@@ -297,18 +263,24 @@ def bench_run(
 ) -> BenchReport:
     """Evaluate every method on every dataset and aggregate Friedman ranks.
 
-    Neighborhood methods sweep k over [3, 10] unless ``fixed_k`` pins it.
-    A failing (dataset, method) cell is recorded as missing with the
-    exception that failed it.  With two or more methods, datasets with
-    missing cells are excluded from the rank aggregation with a warning.
+    Each cell scores its method with ``novelties`` on ``repeats`` seeded
+    splits.  Neighborhood methods sweep k over [3, 10] unless ``fixed_k``
+    pins it, one call per split serving every k.  A failing (dataset,
+    method) cell is recorded as missing with the exception that failed
+    it.  With two or more methods, datasets with missing cells are
+    excluded from the rank aggregation with a warning.
 
     Raises:
-        ValueError: before any cell runs, for a bad sigma, an unknown
-            method, or a dataset name or method given twice.
+        ValueError: before any cell runs, for a bad sigma, a fixed_k
+            below 1, an unknown method, or a dataset name or method
+            given twice.
     """
-    KernelSpec(sigma=sigma)  # a bad sigma raises before any cell runs
+    # bad arguments raise here, before any cell runs
+    KernelSpec(sigma=sigma)
+    if fixed_k is not None:
+        _check_k(fixed_k)
     for name in methods:
-        make_scorer(name)  # an unknown name raises before any cell runs
+        _check_method(name)
     for kind, names in (("dataset", [d.name for d in datasets]), ("method", methods)):
         repeated = [x for i, x in enumerate(names) if x in names[:i]]
         if repeated:
@@ -324,7 +296,7 @@ def bench_run(
                     cell.param, aucs = best_neighborhood(ds, name, repeats,
                                                          base_seed, ks)
                 else:
-                    aucs = repeated_aucs(ds, [make_scorer(name, sigma=sigma)],
+                    aucs = repeated_aucs(ds, partial(novelties, name, sigma=sigma),
                                          repeats, base_seed)[0]
                 cell.aucs = [float(a) for a in aucs]
                 cell.mean = float(aucs.mean())

@@ -7,7 +7,9 @@ tests a factor's storage, which the library itself never reads back.
 ``border_block`` and ``project`` are the one-array computations that
 the library replaced by panels and probe chunks.
 ``parse_csv`` and ``load_csv`` are the token-by-token CSV reader the
-library's numpy-backed one must agree with.
+library's numpy-backed one must agree with.  ``knndd_self_kth`` and
+``knndd_score`` are the one-k-at-a-time k-NN fit and score that the
+library's sweep replaced.
 """
 
 import csv
@@ -19,7 +21,7 @@ from scipy.spatial.distance import cdist
 
 from ocksr.cholesky import _unpack
 from ocksr.dataset import DataFormatError
-from ocksr.kernel import KernelSpec, kernel_cross
+from ocksr.kernel import KernelSpec, _sq_dists, kernel_cross
 
 
 def R_of(factor) -> np.ndarray:
@@ -78,6 +80,35 @@ def fit_alpha(X, spec: KernelSpec, nu=None) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     nu = np.ones(X.shape[0]) if nu is None else nu
     return cho_solve(cho_factor(gram(X, spec)), nu)
+
+
+def knndd_self_kth(X, k: int) -> np.ndarray:
+    """Each training row's distance to its own k-th nearest other row."""
+    d = np.sqrt(_sq_dists(X, X))
+    np.fill_diagonal(d, np.inf)
+    return np.sort(d, axis=1)[:, k - 1]
+
+
+def knndd_score(X, Z, k: int) -> np.ndarray:
+    """k-NN distance ratio of each probe row of Z for one k: fit, then score.
+
+    The k-th nearest training row j of a probe is found by a stable
+    argsort of the probe's distances; its novelty is that distance over
+    ``knndd_self_kth(X, k)[j]``, 0 for 0 / 0 and inf for positive / 0.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
+    self_kth = knndd_self_kth(X, k)
+    dists = cdist(Z, X)
+    rows = np.arange(dists.shape[0])
+    j = np.argsort(dists, axis=1, kind="stable")[:, k - 1]
+    num = dists[rows, j]
+    den = self_kth[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / den
+    return np.where(den == 0.0, np.where(num == 0.0, 0.0, np.inf), ratio)
 
 
 def _parse_float(token: str) -> float | None:

@@ -10,6 +10,7 @@ Checks with wall-clock budgets measure and report their runtime.
 
 import os
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from scipy.stats import rankdata
 from ocksr.cholesky import factor_batch, solve_upper
 from ocksr.dataset import l2_normalize, load_csv, make_synthetic, random_split
 from ocksr.evaluation import (
-    OcksrScorer,
     best_neighborhood,
     friedman_test,
+    novelties,
     repeated_aucs,
     roc_auc,
 )
@@ -190,10 +191,10 @@ def test_auc_agrees_with_pair_oracle():
 def test_detection_quality_on_synthetic():
     t0 = time.perf_counter()
     sep6 = make_synthetic(100, 100, 10, 6.0, seed=42)
-    aucs6 = repeated_aucs(sep6, [OcksrScorer(sigma="median")], repeats=100,
+    aucs6 = repeated_aucs(sep6, partial(novelties, "ocksr"), repeats=100,
                           base_seed=500)[0]
     sep0 = make_synthetic(100, 100, 10, 0.0, seed=42)
-    aucs0 = repeated_aucs(sep0, [OcksrScorer(sigma="median")], repeats=100,
+    aucs0 = repeated_aucs(sep0, partial(novelties, "ocksr"), repeats=100,
                           base_seed=500)[0]
     elapsed = time.perf_counter() - t0
     mean6, mean0 = float(aucs6.mean()), float(aucs0.mean())
@@ -266,7 +267,7 @@ SONAR_ENV = "OCKSR_SONAR_CSV"
                            f"(1 = target class) to run this check")
 def test_sonar_outranks_kmeans():
     ds = l2_normalize(load_csv(os.environ[SONAR_ENV], label_column=0))
-    ours = repeated_aucs(ds, [OcksrScorer(sigma="median")], repeats=100,
+    ours = repeated_aucs(ds, partial(novelties, "ocksr"), repeats=100,
                          base_seed=0)[0]
     k, theirs = best_neighborhood(ds, "kmeans", repeats=100, base_seed=0)
     ok = float(ours.mean()) > float(theirs.mean())

@@ -7,12 +7,12 @@ from ocksr.baselines import (
     _centered_gram,
     kmeans_fit,
     kmeans_score,
-    knndd_fit,
-    knndd_score,
+    knndd_novelty,
     kpca_fit,
     kpca_score,
 )
 from ocksr.kernel import KernelSpec, kernel_cross, median_pairwise_distance
+import oracles
 
 
 # Per-probe reference scorers: the straightforward one-probe-at-a-time
@@ -22,11 +22,11 @@ def _kmeans_score_ref(model, z):
     return float(np.sqrt(((model.centers - z) ** 2).sum(axis=1)).min())
 
 
-def _knndd_score_ref(model, z):
-    dists = np.sqrt(((model.X - z) ** 2).sum(axis=1))
-    j = np.argsort(dists, kind="stable")[model.k - 1]
+def _knndd_score_ref(X, k, z):
+    dists = np.sqrt(((X - z) ** 2).sum(axis=1))
+    j = np.argsort(dists, kind="stable")[k - 1]
     num = float(dists[j])
-    den = float(model.self_kth[j])
+    den = float(oracles.knndd_self_kth(X, k)[j])
     if den == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return num / den
@@ -47,6 +47,13 @@ def _one(score, model, z):
     out = score(model, np.asarray(z, dtype=np.float64)[None, :])
     assert out.shape == (1,)
     return float(out[0])
+
+
+def _knndd_one(X, k, z):
+    """A single probe's k-NN novelty at one k, through the sweep."""
+    out = knndd_novelty(X, np.asarray(z, dtype=np.float64)[None, :], [k])
+    assert out.shape == (1, 1)
+    return float(out[0, 0])
 
 
 def test_kmeans_k_equals_n_scores_training_rows_zero():
@@ -109,37 +116,37 @@ def test_kmeans_permutation_invariant():
 def test_knndd_zero_on_training_row():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((10, 3))
-    assert _one(knndd_score, knndd_fit(X, k=1), X[4]) == 0.0
+    assert _knndd_one(X, 1, X[4]) == 0.0
 
 
 def test_knndd_lattice_ratio_one():
     # unit grid: every point's nearest neighbor is one lattice step away
     g = np.array([[i, j] for i in range(5) for j in range(5)], dtype=float)
     z = np.array([-1.0, 0.0])
-    assert _one(knndd_score, knndd_fit(g, k=1), z) == pytest.approx(1.0, rel=1e-12)
+    assert _knndd_one(g, 1, z) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_knndd_far_probe_large():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((12, 2))
-    assert _one(knndd_score, knndd_fit(X, k=3), [500.0, 500.0]) > 50.0
+    assert _knndd_one(X, 3, [500.0, 500.0]) > 50.0
 
 
 def test_knndd_k_bounds():
     X = np.random.default_rng(7).standard_normal((5, 2))
-    with pytest.raises(ValueError):
-        knndd_fit(X, k=5)  # needs a kth neighbor distinct from the row itself
-    with pytest.raises(ValueError):
-        knndd_fit(X, k=0)
+    # each k needs a kth neighbor distinct from the row itself
+    for ks, bad in (([5], 5), ([0], 0), ([1, 4, 5], 5), ([3, -1, 7], -1)):
+        with pytest.raises(ValueError, match=rf"k must lie in \[1, 4\], got {bad}$"):
+            knndd_novelty(X, X, ks)
+    assert knndd_novelty(X, X, [1, 4]).shape == (2, 5)
 
 
 def test_knndd_duplicate_rows():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-    m = knndd_fit(X, k=1)
     # probe sits on the duplicated point: 0 / 0 counts as no novelty
-    assert _one(knndd_score, m, [0.0, 0.0]) == 0.0
+    assert _knndd_one(X, 1, [0.0, 0.0]) == 0.0
     # probe near the duplicated point: positive / 0 blows up
-    assert _one(knndd_score, m, [0.3, 0.3]) == np.inf
+    assert _knndd_one(X, 1, [0.3, 0.3]) == np.inf
 
 
 def test_knndd_permutation_invariant():
@@ -147,8 +154,7 @@ def test_knndd_permutation_invariant():
     X = rng.standard_normal((18, 4))
     perm = rng.permutation(18)
     z = rng.standard_normal(4)
-    assert (_one(knndd_score, knndd_fit(X, k=4), z)
-            == _one(knndd_score, knndd_fit(X[perm], k=4), z))
+    assert _knndd_one(X, 4, z) == _knndd_one(X[perm], 4, z)
 
 
 def test_kpca_full_rank_training_residuals_zero():
@@ -282,11 +288,10 @@ def test_batch_scorers_match_per_probe_references(seed, n, d, m, n_dup, on_grid)
     Z = np.vstack([fresh, X[rng.integers(0, n, 3)]])  # probes on training rows too
     k = int(rng.integers(1, n))
 
-    models = [(kmeans_score, _kmeans_score_ref, kmeans_fit(X, int(rng.integers(1, n + 1)), seed)),
-              (knndd_score, _knndd_score_ref, knndd_fit(X, k))]
-    for batch_score, ref, model in models:
-        got = batch_score(model, Z)
-        want = np.array([ref(model, z) for z in Z])
+    kmeans = kmeans_fit(X, int(rng.integers(1, n + 1)), seed)
+    for got, ref in ((kmeans_score(kmeans, Z), lambda z: _kmeans_score_ref(kmeans, z)),
+                     (knndd_novelty(X, Z, [k])[0], lambda z: _knndd_score_ref(X, k, z))):
+        want = np.array([ref(z) for z in Z])
         assert got.shape == (Z.shape[0],)
         np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
         finite = np.isfinite(want)
@@ -299,3 +304,23 @@ def test_batch_scorers_match_per_probe_references(seed, n, d, m, n_dup, on_grid)
     kpca = kpca_fit(X, spec, q=max(1, min(k, int((lam > 1e-6 * lam[0]).sum()))))
     want = np.array([_kpca_score_ref(kpca, z) for z in Z])
     np.testing.assert_allclose(kpca_score(kpca, Z), want, rtol=1e-10, atol=1e-12)
+
+
+@given(st.integers(0, 10**6), st.integers(2, 14), st.integers(1, 4),
+       st.integers(0, 8), st.integers(0, 4), st.booleans(),
+       st.lists(st.integers(0, 20), min_size=1, max_size=10))
+@settings(max_examples=80, deadline=None)
+def test_knndd_sweep_equals_per_k_oracle_bit_for_bit(seed, n, d, m, n_dup, on_grid,
+                                                     draws):
+    rng = np.random.default_rng(seed)
+    # integer grid coordinates make exact distance ties common
+    X = (rng.integers(-2, 3, (n, d)) if on_grid else rng.standard_normal((n, d))).astype(float)
+    X[rng.integers(0, n, n_dup)] = X[rng.integers(0, n, n_dup)]  # duplicate rows
+    fresh = rng.integers(-3, 4, (m, d)) if on_grid else 3.0 * rng.standard_normal((m, d))
+    Z = np.vstack([fresh, X[rng.integers(0, n, 3)]])  # probes on training rows too
+    # k = 1 and k = n - 1 always, then draws in [1, n - 1], unsorted and repeated
+    ks = [1, n - 1] + [1 + draw % (n - 1) for draw in draws]
+    got = knndd_novelty(X, Z, ks)
+    want = np.stack([oracles.knndd_score(X, Z, k) for k in ks])
+    assert got.shape == (len(ks), Z.shape[0])
+    np.testing.assert_array_equal(got, want)

@@ -475,7 +475,7 @@ def test_bad_sigma_exit_1(tmp_path):
         (score, "--tau", "nan"), (score, "--tau", "-1"), (score, "--tau", "inf"),
         # calibrate_threshold's rule: a rejection rate lies in [0, 1)
         (calibrate, "--rejection", "1.5"), (calibrate, "--rejection", "nan"),
-        # repeated_aucs' rule: at least one repeat; the scorers': k >= 1
+        # repeated_aucs' rule: at least one repeat; bench_run's: k >= 1
         (evaluate, "--repeats", "0"), (evaluate, "--k", "0"), (evaluate, "--k", "-1"),
         (bench, "--repeats", "0"), (bench, "--repeats", "-3"), (bench, "--k", "0"),
     ]:

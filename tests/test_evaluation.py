@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,23 +10,26 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
 import ocksr.evaluation as ev
+import oracles
+from ocksr.baselines import kmeans_fit, kmeans_score, kpca_fit, kpca_score
 from ocksr.dataset import make_synthetic, random_split, write_csv
 from ocksr.evaluation import (
     NEIGHBORHOOD_RANGE,
     SCORER_NAMES,
-    KpcaScorer,
-    OcksrScorer,
     bench_run,
     best_neighborhood,
     friedman_test,
-    make_scorer,
+    novelties,
     repeated_aucs,
     roc_auc,
     write_bench_csv,
     write_bench_json,
     write_ranks_csv,
 )
-from ocksr.kernel import median_pairwise_distance
+from ocksr.kernel import KernelSpec, median_pairwise_distance
+from ocksr.model import fit, score_batch
+
+ocksr_novelties = partial(novelties, "ocksr")
 
 
 def _pair_auc(scores, labels):
@@ -156,28 +160,37 @@ def test_roc_auc_validation():
     assert roc_auc([0.1, 0.9, 0.3], [1.0, 0.0, 1.0]) == 1.0
 
 
-def test_make_scorer_names_and_unknown():
+def test_novelties_shapes_and_unknown_method():
+    ds = make_synthetic(20, 20, 4, 3.0, seed=8)
+    X, Z = ds.targets(), ds.X
     for name in SCORER_NAMES:
-        assert make_scorer(name).name == name
+        for ks in (NEIGHBORHOOD_RANGE, (4,), (5, 3, 5)):
+            rows = 1 if name in ("ocksr", "kpca") else len(ks)
+            assert novelties(name, X, Z, ks=ks).shape == (rows, len(Z)), (name, ks)
     with pytest.raises(ValueError, match="unknown method"):
-        make_scorer("svdd")
+        novelties("svdd", X, Z)
 
 
-def test_ocksr_scorer_resolves_median_sigma():
+def test_ocksr_novelties_resolve_median_sigma():
     ds = make_synthetic(20, 20, 4, 6.0, seed=8)
-    scorer = OcksrScorer(sigma="median").fit(ds.targets())
-    assert scorer._model.spec.sigma == median_pairwise_distance(ds.targets())
+    X = ds.targets()
+    spec = KernelSpec(sigma=median_pairwise_distance(X))
+    np.testing.assert_array_equal(novelties("ocksr", X, ds.X),
+                                  [score_batch(fit(X, spec), ds.X)[1]])
 
 
-def test_kpca_scorer_default_components():
+def test_kpca_novelties_default_components():
     ds = make_synthetic(30, 0, 4, 0.0, seed=9)
-    scorer = KpcaScorer().fit(ds.targets())
-    assert 1 <= scorer._model.coeffs.shape[1] <= 29
+    X = ds.targets()
+    explicit = kpca_fit(X, KernelSpec(sigma=median_pairwise_distance(X)))
+    assert 1 <= explicit.coeffs.shape[1] <= 29
+    Z = make_synthetic(10, 10, 4, 2.0, seed=10).X
+    np.testing.assert_array_equal(novelties("kpca", X, Z), [kpca_score(explicit, Z)])
 
 
 def test_scorers_separate_synthetic_clouds():
     ds = make_synthetic(60, 60, 6, 6.0, seed=10)
-    aucs = repeated_aucs(ds, [OcksrScorer()], repeats=3, base_seed=100)[0]
+    aucs = repeated_aucs(ds, ocksr_novelties, repeats=3, base_seed=100)[0]
     assert aucs.shape == (3,)
     assert aucs.mean() > 0.9
 
@@ -190,40 +203,40 @@ def test_bench_run_single_repeat_zero_std():
 
 def test_repeated_aucs_reproducible():
     ds = make_synthetic(25, 25, 4, 3.0, seed=1)
-    a = repeated_aucs(ds, [OcksrScorer()], repeats=4, base_seed=9)
-    b = repeated_aucs(ds, [OcksrScorer()], repeats=4, base_seed=9)
+    a = repeated_aucs(ds, ocksr_novelties, repeats=4, base_seed=9)
+    b = repeated_aucs(ds, ocksr_novelties, repeats=4, base_seed=9)
     np.testing.assert_array_equal(a, b)
 
 
 def test_repeated_aucs_error_carries_repeat_index():
     ds = make_synthetic(10, 10, 3, 2.0, seed=2)
 
-    class Boom:
-        def fit(self, X):
-            raise ValueError("kaput")
+    def boom(X, Z):
+        raise ValueError("kaput")
 
-    with pytest.raises(RuntimeError, match=r"repeat 0 \(seed 11\) failed"):
-        repeated_aucs(ds, [Boom()], repeats=2, base_seed=11)
+    with pytest.raises(RuntimeError, match=r"repeat 0 \(seed 11\) failed: kaput"):
+        repeated_aucs(ds, boom, repeats=2, base_seed=11)
 
 
 def test_repeats_must_be_positive():
     ds = make_synthetic(10, 10, 3, 2.0, seed=3)
     with pytest.raises(ValueError):
-        repeated_aucs(ds, [OcksrScorer()], repeats=0, base_seed=0)
+        repeated_aucs(ds, ocksr_novelties, repeats=0, base_seed=0)
 
 
 def test_best_neighborhood_tie_breaks_to_smallest_k(monkeypatch):
     ds = make_synthetic(20, 20, 3, 5.0, seed=4)
     recorded = []
 
-    def flat(dataset, scorers, repeats, base_seed):
-        recorded.extend(scorer.k for scorer in scorers)
-        return np.full((len(scorers), repeats), 0.75)
+    def flat(dataset, scorer, repeats, base_seed):
+        # the sweep's scorer gives one row of novelties per k
+        recorded.append(scorer(ds.targets(), ds.X).shape)
+        return np.full((len(NEIGHBORHOOD_RANGE), repeats), 0.75)
 
     monkeypatch.setattr(ev, "repeated_aucs", flat)
     k, aucs = ev.best_neighborhood(ds, "knndd", repeats=1, base_seed=0)
     assert k == NEIGHBORHOOD_RANGE[0] == 3
-    assert recorded == list(NEIGHBORHOOD_RANGE)
+    assert recorded == [(len(NEIGHBORHOOD_RANGE), len(ds.X))]
     np.testing.assert_array_equal(aucs, [0.75])
 
 
@@ -238,12 +251,15 @@ def _per_k_sweep(dataset, name, repeats, base_seed, ks):
     # keeping the first k whose mean beats every earlier one
     best_k, best_aucs, best_mean = None, None, -np.inf
     for k in ks:
-        scorer = make_scorer(name, k=k)
         aucs = np.empty(repeats)
         for r in range(repeats):
             train, test = random_split(dataset, ev.TRAIN_FRACTION, base_seed + r)
-            aucs[r] = roc_auc(scorer.fit(train.targets()).novelty(test.X),
-                              test.labels)
+            X = train.targets()
+            if name == "kmeans":
+                scores = kmeans_score(kmeans_fit(X, min(k, len(X)), seed=0), test.X)
+            else:
+                scores = oracles.knndd_score(X, test.X, min(k, len(X) - 1))
+            aucs[r] = roc_auc(scores, test.labels)
         if aucs.mean() > best_mean:
             best_k, best_aucs, best_mean = k, aucs, float(aucs.mean())
     return best_k, best_aucs
@@ -263,8 +279,8 @@ def test_best_neighborhood_first_maximal_mean_wins(monkeypatch):
     ds = make_synthetic(20, 20, 3, 5.0, seed=4)
     means = [np.nan, 0.6, 0.8, 0.7, 0.8, np.nan, 0.5, 0.8]
 
-    def table(dataset, scorers, repeats, base_seed):
-        return np.array(means)[:, None] * np.ones((len(scorers), repeats))
+    def table(dataset, scorer, repeats, base_seed):
+        return np.array(means)[:, None] * np.ones((len(means), repeats))
 
     monkeypatch.setattr(ev, "repeated_aucs", table)
     k, aucs = ev.best_neighborhood(ds, "kmeans", repeats=2, base_seed=0)
@@ -274,12 +290,43 @@ def test_best_neighborhood_first_maximal_mean_wins(monkeypatch):
 
 def test_repeated_aucs_table_rows_follow_scorers():
     ds = make_synthetic(25, 25, 4, 3.0, seed=23)
-    scorers = [OcksrScorer(), make_scorer("kmeans", k=3), make_scorer("knndd", k=3)]
-    table = repeated_aucs(ds, scorers, repeats=3, base_seed=5)
+    names = ["ocksr", "kmeans", "knndd"]
+
+    def stacked(X, Z):
+        return np.vstack([novelties(name, X, Z, ks=(3,)) for name in names])
+
+    table = repeated_aucs(ds, stacked, repeats=3, base_seed=5)
     assert table.shape == (3, 3)
-    for scorer, row in zip(scorers, table):
+    for name, row in zip(names, table):
         np.testing.assert_array_equal(
-            row, repeated_aucs(ds, [scorer], repeats=3, base_seed=5)[0])
+            row, repeated_aucs(ds, partial(novelties, name, ks=(3,)), repeats=3,
+                               base_seed=5)[0])
+
+
+def test_a_sweep_scores_each_split_once(monkeypatch):
+    ds = make_synthetic(24, 24, 3, 3.0, seed=24)
+    knndd_calls, scorer_calls = [], []
+    real_knndd = ev.baselines.knndd_novelty
+    real_repeated = ev.repeated_aucs
+
+    def counting_knndd(X, Z, ks):
+        knndd_calls.append(list(ks))
+        return real_knndd(X, Z, ks)
+
+    def counting_repeated(dataset, scorer, repeats, base_seed):
+        def counted(X, Z):
+            scorer_calls.append(len(Z))
+            return scorer(X, Z)
+        return real_repeated(dataset, counted, repeats, base_seed)
+
+    monkeypatch.setattr(ev.baselines, "knndd_novelty", counting_knndd)
+    monkeypatch.setattr(ev, "repeated_aucs", counting_repeated)
+    k, aucs = ev.best_neighborhood(ds, "knndd", repeats=3, base_seed=0)
+    assert knndd_calls == [list(NEIGHBORHOOD_RANGE)] * 3
+    assert len(scorer_calls) == 3 and aucs.shape == (3,)
+    scorer_calls.clear()
+    ev.bench_run([ds], ["ocksr", "kmeans"], 3, 0)
+    assert len(scorer_calls) == 6
 
 
 def test_one_split_per_repeat(monkeypatch):
@@ -399,7 +446,32 @@ def test_bench_run_rejects_a_bad_sigma_before_any_cell(monkeypatch):
         with pytest.raises(ValueError, match="sigma"):
             bench_run([ds], ["ocksr", "kmeans"], 2, 0, sigma=sigma, fixed_k=3)
         with pytest.raises(ValueError, match="sigma"):
-            OcksrScorer(sigma=sigma)
+            novelties("ocksr", ds.targets(), ds.X, sigma=sigma)
+
+
+def test_bench_run_rejects_a_bad_fixed_k_before_any_cell(monkeypatch):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(ev, "repeated_aucs", no_cells)
+    monkeypatch.setattr(ev, "best_neighborhood", no_cells)
+    ds = make_synthetic(10, 10, 3, 2.0, seed=11)
+    for methods, fixed_k in ((["ocksr", "kmeans"], 0), (["ocksr", "knndd"], -3),
+                             (["ocksr"], 0)):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            bench_run([ds], methods, 2, 0, fixed_k=fixed_k)
+
+
+def test_best_neighborhood_rejects_an_empty_or_bad_sweep():
+    ds = make_synthetic(10, 10, 3, 2.0, seed=11)
+    for name, ks, match in (("kmeans", (), "at least one k"),
+                            ("knndd", [], "at least one k"),
+                            ("kmeans", (3, 0, 5), "k must be >= 1"),
+                            ("knndd", (-1,), "k must be >= 1"),
+                            ("ocksr", (3,), "no neighborhood"),
+                            ("svdd", (3,), "no neighborhood")):
+        with pytest.raises(ValueError, match=match):
+            best_neighborhood(ds, name, 2, 0, ks=ks)
 
 
 def test_bench_run_rejects_repeated_dataset_or_method(monkeypatch):
@@ -422,14 +494,14 @@ def test_bench_run_rejects_repeated_dataset_or_method(monkeypatch):
 
 def test_bench_run_failed_cell_recorded(monkeypatch):
     ds = make_synthetic(16, 16, 3, 4.0, seed=12)
-    real = ev.repeated_aucs
+    real = ev.novelties
 
-    def flaky(dataset, scorers, repeats, base_seed):
-        if any(getattr(scorer, "name", "") == "knndd" for scorer in scorers):
+    def flaky(name, X, Z, **params):
+        if name == "knndd":
             raise RuntimeError("synthetic failure")
-        return real(dataset, scorers, repeats, base_seed)
+        return real(name, X, Z, **params)
 
-    monkeypatch.setattr(ev, "repeated_aucs", flaky)
+    monkeypatch.setattr(ev, "novelties", flaky)
     with pytest.warns(UserWarning) as record:
         rep = ev.bench_run([ds], ["ocksr", "knndd"], repeats=1, base_seed=0)
     messages = [str(w.message) for w in record]
@@ -517,7 +589,7 @@ def test_bench_run_one_method_failure_warns_once(monkeypatch):
     # one method is never ranked, so its failed cell excludes nothing
     ds = make_synthetic(16, 16, 3, 4.0, seed=12)
 
-    def failing(dataset, scorers, repeats, base_seed):
+    def failing(dataset, scorer, repeats, base_seed):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr(ev, "repeated_aucs", failing)

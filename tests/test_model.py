@@ -12,7 +12,7 @@ from scipy.linalg.blas import dtpsv
 
 import ocksr.kernel as kernel_module
 import ocksr.model as model_module
-from ocksr.baselines import kmeans_fit, knndd_fit, kpca_fit, kpca_score
+from ocksr.baselines import kmeans_fit, kpca_fit, kpca_score
 from ocksr.cholesky import (
     CholeskyFactor,
     NotPositiveDefinite,
@@ -787,7 +787,6 @@ def test_array_records_compare_and_hash_by_identity():
         lambda: fit(X, spec),
         lambda: Dataset(X, labels),
         lambda: kmeans_fit(X, 3, 0),
-        lambda: knndd_fit(X, 3),
         lambda: kpca_fit(X, spec),
         lambda: friedman_test([[0.9, 0.8], [0.7, 0.6]]),
     ]
