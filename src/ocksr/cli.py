@@ -168,7 +168,11 @@ def _load_normalized(path: str, label_col: int, no_normalize: bool) -> Dataset:
 
 
 def _cmd_synth(args) -> int:
-    ds = make_synthetic(args.n_pos, args.n_neg, args.dim, args.separation, args.seed)
+    try:
+        ds = make_synthetic(args.n_pos, args.n_neg, args.dim, args.separation, args.seed)
+    except ValueError as exc:  # no data is read, so a bad value is a usage error
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
     write_csv(ds, args.out)
     print(f"wrote {ds.n} rows ({args.n_pos} targets, {args.n_neg} outliers, "
           f"d={args.dim}) to {args.out}")

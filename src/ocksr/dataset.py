@@ -269,8 +269,8 @@ def make_synthetic(
     """
     if n_pos < 1 or n_neg < 0 or d < 1:
         raise ValueError("need n_pos >= 1, n_neg >= 0, d >= 1")
-    if separation < 0:
-        raise ValueError("separation must be nonnegative")
+    if not 0.0 <= separation < np.inf:
+        raise ValueError(f"separation must be finite and >= 0, not {separation}")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(d)
     norm = np.linalg.norm(direction)

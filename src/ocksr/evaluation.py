@@ -5,7 +5,8 @@ probability that a random outlier scores above a random target, ties
 counted one half.  A method is a name in ``SCORER_NAMES``: ``novelties``
 fits it on one split's train targets and returns a table of novelties
 for the test rows, one row per neighborhood size for the methods that
-sweep one.
+sweep one.  ``bench_run`` scores each (dataset, method) cell with one
+``repeated_aucs`` call and keeps the first row with the largest mean AUC.
 """
 
 from __future__ import annotations
@@ -163,34 +164,6 @@ def repeated_aucs(
     return np.array(columns).T.copy()
 
 
-def best_neighborhood(
-    dataset: Dataset,
-    name: str,
-    repeats: int,
-    base_seed: int,
-    ks=NEIGHBORHOOD_RANGE,
-) -> tuple[int, np.ndarray]:
-    """Sweep the neighborhood parameter and keep the best mean AUC.
-
-    One ``repeated_aucs`` call scores every k on the same seeded splits.
-    The first maximal mean wins, so ties resolve to the earliest k in
-    ``ks`` and a NaN mean never wins.
-
-    Raises:
-        ValueError: ``name`` is not kmeans or knndd, or ``ks`` is empty
-            or holds a k below 1.
-    """
-    if name not in ("kmeans", "knndd"):
-        raise ValueError(f"method {name!r} has no neighborhood to sweep")
-    ks = [_check_k(int(k)) for k in ks]
-    if not ks:
-        raise ValueError("the neighborhood sweep needs at least one k")
-    table = repeated_aucs(dataset, lambda X, Z: novelties(name, X, Z, ks=ks),
-                          repeats, base_seed)
-    best = int(np.nanargmax(table.mean(axis=1)))
-    return ks[best], table[best]
-
-
 # ---------------------------------------------------------------------------
 # rank aggregation
 
@@ -263,12 +236,15 @@ def bench_run(
 ) -> BenchReport:
     """Evaluate every method on every dataset and aggregate Friedman ranks.
 
-    Each cell scores its method with ``novelties`` on ``repeats`` seeded
-    splits.  Neighborhood methods sweep k over [3, 10] unless ``fixed_k``
-    pins it, one call per split serving every k.  A failing (dataset,
-    method) cell is recorded as missing with the exception that failed
-    it.  With two or more methods, datasets with missing cells are
-    excluded from the rank aggregation with a warning.
+    Each cell is one ``repeated_aucs`` call: ``novelties`` scores its
+    method on ``repeats`` seeded splits, one call per split serving every
+    k.  Neighborhood methods sweep k over [3, 10] unless ``fixed_k`` pins
+    it.  The cell keeps the first row with the largest mean AUC, so ties
+    go to the smallest k and a NaN mean never wins; kmeans and knndd
+    record that row's k as ``param``.  A failing (dataset, method) cell is
+    recorded as missing with the exception that failed it.  With two or
+    more methods, datasets with missing cells are excluded from the rank
+    aggregation with a warning.
 
     Raises:
         ValueError: before any cell runs, for a bad sigma, a fixed_k
@@ -277,8 +253,7 @@ def bench_run(
     """
     # bad arguments raise here, before any cell runs
     KernelSpec(sigma=sigma)
-    if fixed_k is not None:
-        _check_k(fixed_k)
+    ks = NEIGHBORHOOD_RANGE if fixed_k is None else (int(_check_k(fixed_k)),)
     for name in methods:
         _check_method(name)
     for kind, names in (("dataset", [d.name for d in datasets]), ("method", methods)):
@@ -291,13 +266,12 @@ def bench_run(
         for name in methods:
             cell = BenchCell()
             try:
+                table = repeated_aucs(ds, partial(novelties, name, sigma=sigma, ks=ks),
+                                      repeats, base_seed)
+                best = int(np.nanargmax(table.mean(axis=1)))
+                aucs = table[best]
                 if name in ("kmeans", "knndd"):
-                    ks = NEIGHBORHOOD_RANGE if fixed_k is None else (fixed_k,)
-                    cell.param, aucs = best_neighborhood(ds, name, repeats,
-                                                         base_seed, ks)
-                else:
-                    aucs = repeated_aucs(ds, partial(novelties, name, sigma=sigma),
-                                         repeats, base_seed)[0]
+                    cell.param = ks[best]
                 cell.aucs = [float(a) for a in aucs]
                 cell.mean = float(aucs.mean())
                 cell.std = float(aucs.std(ddof=1)) if aucs.size > 1 else 0.0

@@ -417,10 +417,10 @@ def load_model(path: str) -> Model:
     """Load a model saved by ``save_model``.
 
     Raises:
-        ModelFormatError: bad magic, unknown family, a bandwidth or
-            regularizer out of range, no rows or more negative rows than
-            rows, truncated payload, non-finite rows or coefficients, or
-            a negative or non-finite threshold.
+        ModelFormatError: bad magic, unknown family, unknown header
+            flags, a bandwidth or regularizer out of range, no rows or
+            more negative rows than rows, truncated payload, non-finite
+            rows or coefficients, or a negative or non-finite threshold.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -431,6 +431,8 @@ def load_model(path: str) -> Model:
         raise ModelFormatError(f"{path}: bad magic {magic!r}")
     if family_code != _RBF_CODE:
         raise ModelFormatError(f"{path}: unknown kernel family code {family_code}")
+    if flags & ~1:  # bit 0 (tau present) is the only flag OCKSR1 defines
+        raise ModelFormatError(f"{path}: unknown header flags {flags}")
     try:
         spec = KernelSpec(sigma=sigma, delta=delta)
     except ValueError as exc:

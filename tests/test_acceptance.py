@@ -19,7 +19,7 @@ from scipy.stats import rankdata
 from ocksr.cholesky import factor_batch, solve_upper
 from ocksr.dataset import l2_normalize, load_csv, make_synthetic, random_split
 from ocksr.evaluation import (
-    best_neighborhood,
+    bench_run,
     friedman_test,
     novelties,
     repeated_aucs,
@@ -267,10 +267,9 @@ SONAR_ENV = "OCKSR_SONAR_CSV"
                            f"(1 = target class) to run this check")
 def test_sonar_outranks_kmeans():
     ds = l2_normalize(load_csv(os.environ[SONAR_ENV], label_column=0))
-    ours = repeated_aucs(ds, partial(novelties, "ocksr"), repeats=100,
-                         base_seed=0)[0]
-    k, theirs = best_neighborhood(ds, "kmeans", repeats=100, base_seed=0)
-    ok = float(ours.mean()) > float(theirs.mean())
+    cells = bench_run([ds], ["ocksr", "kmeans"], 100, 0).cells[ds.name]
+    ours, theirs = cells["ocksr"], cells["kmeans"]
+    ok = ours.mean > theirs.mean
     _report("sonar vs k-means", ok,
-            f"kernel regression mean AUC {ours.mean():.4f} vs "
-            f"k-means (k={k}) {theirs.mean():.4f} over 100 splits")
+            f"kernel regression mean AUC {ours.mean:.4f} vs "
+            f"k-means (k={theirs.param}) {theirs.mean:.4f} over 100 splits")

@@ -74,6 +74,20 @@ def test_synth_writes_loadable_csv(tmp_path, capsys):
     np.testing.assert_array_equal(ds.labels, ref.labels)
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--n-pos", "0", "need n_pos >= 1"), ("--dim", "0", "d >= 1"),
+    ("--n-neg", "-2", "n_neg >= 0"), ("--separation", "-1", "not -1.0"),
+    ("--separation", "nan", "not nan"), ("--separation", "inf", "not inf"),
+])
+def test_synth_bad_value_exit_1(tmp_path, capsys, flag, value, message):
+    # synth reads no data, so make_synthetic's rule is a usage rule
+    out = tmp_path / "s.csv"
+    assert main(["synth", "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_train_matches_in_process_fit(tmp_path, capsys):
     data, ds = _synth_csv(tmp_path)
     model_path = str(tmp_path / "m.bin")

@@ -366,3 +366,7 @@ def test_synthetic_validation():
         make_synthetic(0, 5, 3, 1.0, seed=0)
     with pytest.raises(ValueError):
         make_synthetic(5, 5, 3, -1.0, seed=0)
+    for separation in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"separation must be finite and >= 0, "
+                                             f"not {separation}"):
+            make_synthetic(5, 5, 3, separation, seed=0)

@@ -17,7 +17,6 @@ from ocksr.evaluation import (
     NEIGHBORHOOD_RANGE,
     SCORER_NAMES,
     bench_run,
-    best_neighborhood,
     friedman_test,
     novelties,
     repeated_aucs,
@@ -234,16 +233,16 @@ def test_best_neighborhood_tie_breaks_to_smallest_k(monkeypatch):
         return np.full((len(NEIGHBORHOOD_RANGE), repeats), 0.75)
 
     monkeypatch.setattr(ev, "repeated_aucs", flat)
-    k, aucs = ev.best_neighborhood(ds, "knndd", repeats=1, base_seed=0)
-    assert k == NEIGHBORHOOD_RANGE[0] == 3
+    cell = ev.bench_run([ds], ["knndd"], repeats=1, base_seed=0).cells[ds.name]["knndd"]
+    assert cell.param == NEIGHBORHOOD_RANGE[0] == 3
     assert recorded == [(len(NEIGHBORHOOD_RANGE), len(ds.X))]
-    np.testing.assert_array_equal(aucs, [0.75])
+    assert cell.aucs == [0.75]
 
 
 def test_best_neighborhood_real_sweep():
     ds = make_synthetic(40, 40, 4, 5.0, seed=5)
-    k, aucs = best_neighborhood(ds, "kmeans", repeats=2, base_seed=7)
-    assert k in NEIGHBORHOOD_RANGE and aucs.shape == (2,)
+    cell = bench_run([ds], ["kmeans"], repeats=2, base_seed=7).cells[ds.name]["kmeans"]
+    assert cell.param in NEIGHBORHOOD_RANGE and len(cell.aucs) == 2
 
 
 def _per_k_sweep(dataset, name, repeats, base_seed, ks):
@@ -269,10 +268,12 @@ def _per_k_sweep(dataset, name, repeats, base_seed, ks):
 @pytest.mark.parametrize("ks", [NEIGHBORHOOD_RANGE, (4,)])
 def test_best_neighborhood_matches_per_k_sweep(name, ks):
     ds = make_synthetic(30, 30, 4, 2.0, seed=22)
-    k, aucs = best_neighborhood(ds, name, repeats=4, base_seed=3, ks=ks)
+    fixed_k = None if ks == NEIGHBORHOOD_RANGE else ks[0]
+    cell = bench_run([ds], [name], repeats=4, base_seed=3,
+                     fixed_k=fixed_k).cells[ds.name][name]
     ref_k, ref_aucs = _per_k_sweep(ds, name, 4, 3, ks)
-    assert k == ref_k
-    np.testing.assert_array_equal(aucs, ref_aucs)
+    assert cell.param == ref_k
+    np.testing.assert_array_equal(cell.aucs, ref_aucs)
 
 
 def test_best_neighborhood_first_maximal_mean_wins(monkeypatch):
@@ -283,9 +284,10 @@ def test_best_neighborhood_first_maximal_mean_wins(monkeypatch):
         return np.array(means)[:, None] * np.ones((len(means), repeats))
 
     monkeypatch.setattr(ev, "repeated_aucs", table)
-    k, aucs = ev.best_neighborhood(ds, "kmeans", repeats=2, base_seed=0)
-    assert k == NEIGHBORHOOD_RANGE[2] == 5
-    np.testing.assert_array_equal(aucs, [0.8, 0.8])
+    rep = ev.bench_run([ds], ["kmeans"], repeats=2, base_seed=0)
+    cell = rep.cells[ds.name]["kmeans"]
+    assert cell.param == NEIGHBORHOOD_RANGE[2] == 5
+    assert cell.aucs == [0.8, 0.8]
 
 
 def test_repeated_aucs_table_rows_follow_scorers():
@@ -321,9 +323,9 @@ def test_a_sweep_scores_each_split_once(monkeypatch):
 
     monkeypatch.setattr(ev.baselines, "knndd_novelty", counting_knndd)
     monkeypatch.setattr(ev, "repeated_aucs", counting_repeated)
-    k, aucs = ev.best_neighborhood(ds, "knndd", repeats=3, base_seed=0)
+    cell = ev.bench_run([ds], ["knndd"], 3, 0).cells[ds.name]["knndd"]
     assert knndd_calls == [list(NEIGHBORHOOD_RANGE)] * 3
-    assert len(scorer_calls) == 3 and aucs.shape == (3,)
+    assert len(scorer_calls) == 3 and len(cell.aucs) == 3
     scorer_calls.clear()
     ev.bench_run([ds], ["ocksr", "kmeans"], 3, 0)
     assert len(scorer_calls) == 6
@@ -338,11 +340,31 @@ def test_one_split_per_repeat(monkeypatch):
         return random_split(dataset, fraction, seed)
 
     monkeypatch.setattr(ev, "random_split", counting)
-    best_neighborhood(ds, "knndd", repeats=3, base_seed=0)
+    bench_run([ds], ["knndd"], 3, 0)
     assert seeds == [0, 1, 2]
     seeds.clear()
     bench_run([ds], ["ocksr", "kmeans", "knndd"], 3, 0)
     assert seeds == [0, 1, 2] * 3
+
+
+def test_every_bench_cell_is_one_repeated_aucs_call(monkeypatch):
+    a = make_synthetic(24, 24, 3, 3.0, seed=24)
+    b = make_synthetic(24, 24, 3, 1.0, seed=25)
+    calls = []
+    real_repeated = ev.repeated_aucs
+
+    def counting_repeated(dataset, scorer, repeats, base_seed):
+        calls.append(0)
+
+        def counted(X, Z):
+            calls[-1] += 1
+            return scorer(X, Z)
+        return real_repeated(dataset, counted, repeats, base_seed)
+
+    monkeypatch.setattr(ev, "repeated_aucs", counting_repeated)
+    rep = bench_run([a, b], list(SCORER_NAMES), 3, 0)
+    assert calls == [3] * 8
+    assert all(cell.error is None for row in rep.cells.values() for cell in row.values())
 
 
 def test_friedman_ranks_dominant_method():
@@ -440,7 +462,6 @@ def test_bench_run_rejects_a_bad_sigma_before_any_cell(monkeypatch):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr(ev, "repeated_aucs", no_cells)
-    monkeypatch.setattr(ev, "best_neighborhood", no_cells)
     ds = make_synthetic(10, 10, 3, 2.0, seed=11)
     for sigma in (-1.0, 0.0, np.nan, "mean"):
         with pytest.raises(ValueError, match="sigma"):
@@ -454,24 +475,11 @@ def test_bench_run_rejects_a_bad_fixed_k_before_any_cell(monkeypatch):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr(ev, "repeated_aucs", no_cells)
-    monkeypatch.setattr(ev, "best_neighborhood", no_cells)
     ds = make_synthetic(10, 10, 3, 2.0, seed=11)
     for methods, fixed_k in ((["ocksr", "kmeans"], 0), (["ocksr", "knndd"], -3),
                              (["ocksr"], 0)):
         with pytest.raises(ValueError, match="k must be >= 1"):
             bench_run([ds], methods, 2, 0, fixed_k=fixed_k)
-
-
-def test_best_neighborhood_rejects_an_empty_or_bad_sweep():
-    ds = make_synthetic(10, 10, 3, 2.0, seed=11)
-    for name, ks, match in (("kmeans", (), "at least one k"),
-                            ("knndd", [], "at least one k"),
-                            ("kmeans", (3, 0, 5), "k must be >= 1"),
-                            ("knndd", (-1,), "k must be >= 1"),
-                            ("ocksr", (3,), "no neighborhood"),
-                            ("svdd", (3,), "no neighborhood")):
-        with pytest.raises(ValueError, match=match):
-            best_neighborhood(ds, name, 2, 0, ks=ks)
 
 
 def test_bench_run_rejects_repeated_dataset_or_method(monkeypatch):
@@ -481,7 +489,6 @@ def test_bench_run_rejects_repeated_dataset_or_method(monkeypatch):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr(ev, "repeated_aucs", no_cells)
-    monkeypatch.setattr(ev, "best_neighborhood", no_cells)
     a = make_synthetic(10, 10, 3, 2.0, seed=11)
     b = make_synthetic(10, 10, 3, 4.0, seed=12)
     for datasets, methods, match in (

@@ -664,6 +664,8 @@ def test_load_rejects_non_finite_values(tmp_path, where, bad):
     ("n", 0, "0 rows"), ("family", 2, "unknown kernel family code 2"),
     ("tau", -0.5, "negative or non-finite threshold -0.5"),
     ("tau", -np.inf, "negative or non-finite threshold"),
+    # OCKSR1 defines flag bit 0 (tau present) only
+    ("flags", 6, "unknown header flags 6"), ("flags", 7, "unknown header flags 7"),
 ])
 def test_load_rejects_bad_header_fields(tmp_path, field, value, message):
     m = fit(np.random.default_rng(25).standard_normal((5, 2)),
@@ -674,7 +676,8 @@ def test_load_rejects_bad_header_fields(tmp_path, field, value, message):
     if field == "n":  # a header with no rows, and so no payload
         del blob[48:]
     fmt, offset = {"sigma": ("<d", 8), "delta": ("<d", 16), "n": ("<Q", 24),
-                   "n_neg": ("<Q", 32), "family": ("<B", 6), "tau": ("<d", 48)}[field]
+                   "n_neg": ("<Q", 32), "family": ("<B", 6), "flags": ("<B", 7),
+                   "tau": ("<d", 48)}[field]
     struct.pack_into(fmt, blob, offset, value)
     path.write_bytes(bytes(blob))
     with pytest.raises(ModelFormatError, match=message) as exc:
