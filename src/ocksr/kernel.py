@@ -1,13 +1,13 @@
 """Gaussian kernel evaluation, Gram matrix construction and the bandwidth heuristic.
 
 Every squared distance comes from one helper, ``_sq_dists``, as the
-expansion ||a||^2 + ||b||^2 - 2 a.b on scipy's BLAS.  The self kernel
-(``gram``, and the distances behind ``median_pairwise_distance``)
-first shifts the rows by the first one, so an offset shared by every
-row does not cancel in the expansion; ``gram`` takes a "median"
-bandwidth from the same distances it turns into K.  The cross kernel
-(``kernel_cross``, and the model's scoring and appends) works on the
-rows as they are.
+expansion ||a||^2 + ||b||^2 - 2 a.b on scipy's BLAS.  Every kernel
+value comes from one routine, ``_kernel``, which first shifts the rows
+by one fixed row x0, so an offset shared by every row does not cancel
+in the expansion.  x0 is the first training row: ``gram``,
+``median_pairwise_distance`` and ``kernel_cross`` shift by X[0], and a
+model's scoring and appends by its first stored row.  ``gram`` takes a
+"median" bandwidth from the same distances it turns into K.
 """
 
 from __future__ import annotations
@@ -96,15 +96,32 @@ def _sq_dists(A: np.ndarray, B: np.ndarray | None = None,
     return d2
 
 
-def _shifted_sq_dists(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distances (lower triangle) and squared norms of X - X[0].
+def _shifted(X: np.ndarray, x0: np.ndarray, out: np.ndarray | None = None):
+    """X - x0 (written to out when given) and its rows' squared norms."""
+    Y = np.subtract(X, x0, out=out)
+    return Y, np.einsum("ij,ij->i", Y, Y)
 
-    An offset shared by every row cancels catastrophically in the
-    expansion; rows shifted by the first one carry only their spread.
+
+def _kernel(Z: np.ndarray, x0: np.ndarray, sigma, Y: np.ndarray | None = None,
+            s: np.ndarray | None = None, median_rows: int | None = None,
+            order: str = "C"):
+    """(K, sigma): the Gaussian kernel of Z's rows and Y's, both shifted by x0.
+
+    Y's rows are shifted already, with squared norms s; K is then
+    (len(Z), len(Y)) in the memory order given: BLAS fills C order faster
+    when Y has the more rows.  Without Y, K holds Z's own pairs in its
+    lower triangle.  A "median" sigma is resolved first, over the pairs
+    of Z's first median_rows rows (all by default); sigma None returns
+    (None, that median).
     """
-    Y = X - X[0]
-    s = np.einsum("ij,ij->i", Y, Y)
-    return _sq_dists(Y, sa=s), s
+    W, sw = _shifted(Z, x0)
+    d2 = _sq_dists(W, Y, sw, s) if order == "C" else _sq_dists(Y, W, s, sw).T
+    del W  # freed before the median's vector of pairs
+    if sigma in (None, "median"):
+        p = median_rows or len(Z)
+        median = _lower_median(d2[:p, :p], sw[:p], Z.shape[1])
+        return (None, median) if sigma is None else (_rbf(d2, median), median)
+    return _rbf(d2, sigma), sigma
 
 
 def _lower_median(d2: np.ndarray, s: np.ndarray, d: int) -> float:
@@ -144,34 +161,33 @@ def _rbf(d2: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(d2, out=d2)
 
 
-def gram(X, spec: KernelSpec) -> tuple[np.ndarray, KernelSpec]:
+def gram(X, spec: KernelSpec,
+         median_rows: int | None = None) -> tuple[np.ndarray, KernelSpec]:
     """K[i, j] = k(x_i, x_j) + delta * [i == j], and the spec it was built with.
 
     Only K's lower triangle holds the kernel, with a diagonal of exactly
     1 + delta; the entries above it are unspecified.  K is the one n x n
     array built: the distances of the rows shifted by the first one fill
-    its lower triangle, a "median" sigma is resolved from that triangle
-    (the returned spec carries the value), and the kernel is taken in
-    place.  X is not checked for finiteness: callers pass rows already
-    checked where they entered the library.
+    its lower triangle, a "median" sigma is resolved from the pairs of
+    its first median_rows rows (all by default; the returned spec carries
+    the value), and the kernel is taken in place.  X is not checked for
+    finiteness: callers pass rows already checked where they entered.
     """
     X = _as_matrix(X)
-    d2, s = _shifted_sq_dists(X)
-    if isinstance(spec.sigma, str):
-        spec = replace(spec, sigma=_lower_median(d2, s, X.shape[1]))
-    K = _rbf(d2, spec.sigma)
+    K, sigma = _kernel(X, X[0], spec.sigma, median_rows=median_rows)
     np.fill_diagonal(K, 1.0 + spec.delta)
-    return K, spec
+    return K, replace(spec, sigma=sigma)
 
 
 def kernel_cross(X, Z, spec: KernelSpec) -> np.ndarray:
     """Kernel values between probe rows Z and training rows X, shape (len(Z), len(X)).
 
-    No delta term: regularization is a property of the training system
-    only.  spec's sigma must be a real.
+    Both are shifted by X[0], as ``gram`` shifts X.  No delta term:
+    regularization is a property of the training system only.  spec's
+    sigma must be a real.
     """
     X = _as_matrix(X)
-    return _rbf(_sq_dists(_probes(X, Z), X), _real_sigma(spec))
+    return _kernel(_probes(X, Z), X[0], _real_sigma(spec), *_shifted(X, X[0]))[0]
 
 
 def _probes(X: np.ndarray, Z) -> np.ndarray:
@@ -199,4 +215,4 @@ def median_pairwise_distance(X) -> float:
     distances, as an explicit-difference ``pdist`` gives to rounding.
     """
     X = _as_matrix(X)
-    return _lower_median(*_shifted_sq_dists(X), X.shape[1])
+    return _kernel(X, X[0], None)[1]

@@ -26,8 +26,7 @@ from .cholesky import (
     factor_batch,
     solve_upper,
 )
-from .kernel import (KernelSpec, _probes, _rbf, _real_sigma, _sq_dists, gram,
-                     median_pairwise_distance)
+from .kernel import KernelSpec, _kernel, _probes, _real_sigma, _shifted, gram
 
 logger = logging.getLogger(__name__)
 
@@ -68,12 +67,15 @@ class Model:
     ``factor`` (the Cholesky factor R of the regularized Gram matrix,
     which carries theta = R^-T nu) and ``tails`` are in-memory caches
     that make appending m rows cost m kernel rows and one bordering of
-    the factor by those m rows.  ``tails`` holds two ``cholesky._Tail``
+    the factor by those m rows.  ``tails`` holds three ``cholesky._Tail``
     buffers: the rows, flattened, with ``X_train`` a view of their
-    prefix; and their squared norms.  Models appended from one another
-    share these buffers and the factor's.  Neither cache is serialized:
-    the first append to a model without them (loaded, or built directly)
-    solves once over the stored and new rows.
+    prefix; the rows shifted by x0 = ``X_train[0]``, which scoring and
+    appends take every kernel value from, as ``gram`` shifts the fit's;
+    and their squared norms.  Models appended from one another share
+    these buffers and the factor's.  Neither cache is serialized: the
+    first append to a model without them (loaded, or built directly)
+    solves once over the stored and new rows, and scoring one shifts
+    its rows once per call.
 
     A model given its caches and ``alpha=None`` (as ``fit``,
     ``fit_supervised`` and ``fit_incremental`` build it) solves
@@ -91,7 +93,7 @@ class Model:
     spec: KernelSpec
     tau: float | None = None
     factor: CholeskyFactor | None = field(default=None, repr=False)
-    tails: tuple[_Tail, _Tail] | None = field(default=None, repr=False)
+    tails: tuple[_Tail, _Tail, _Tail] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         # views, so that freezing them leaves the caller's arrays writable
@@ -161,8 +163,8 @@ def _factor_with_ladder(
     """Factor the Gram matrix against nu, escalating delta on failure.
 
     Returns (factor, effective spec).  The first rung resolves a
-    "median" sigma; later rungs reuse its value.  The back substitution
-    is left to the model's first read of alpha.
+    "median" sigma over the positive rows, which lead; later rungs reuse
+    it.  The back substitution is left to the model's first read of alpha.
     """
     requested = spec.delta
     deltas = [requested] + [d for d in ladder if d > requested]
@@ -170,7 +172,8 @@ def _factor_with_ladder(
     for delta in deltas:
         # factor_batch factors K in place, the one n x n array of the
         # fit, so a failed rung (rare) builds it again from the rows
-        K, spec = gram(X, replace(spec, delta=delta))
+        K, spec = gram(X, replace(spec, delta=delta),
+                       median_rows=np.count_nonzero(nu))
         try:
             factor = factor_batch(K, nu)
         except NotPositiveDefinite as exc:
@@ -194,14 +197,15 @@ def _factor_with_ladder(
 
 def _with_caches(X: np.ndarray, nu: np.ndarray, spec: KernelSpec,
                  factor: CholeskyFactor, tau: float | None = None) -> Model:
-    """A model whose rows and row norms live in fresh tails.
+    """A model whose rows, shifted rows and their norms live in fresh tails.
 
-    Its alpha is solved when first read.
+    Its alpha is solved when first read.  The fit has released K by now.
     """
-    rows = _Tail().extend(0, X.ravel())
-    tails = (rows, _Tail().extend(0, np.einsum("ij,ij->i", X, X)))
-    return Model(rows.buf[: X.size].reshape(X.shape), None, nu, spec,
-                 tau=tau, factor=factor, tails=tails)
+    rows, shifted = _Tail().extend(0, X.ravel()), _Tail().claim(0, X.size)
+    X = rows.buf[: X.size].reshape(X.shape)
+    s = _shifted(X, X[0], out=shifted.buf[: X.size].reshape(X.shape))[1]
+    return Model(X, None, nu, spec, tau=tau, factor=factor,
+                 tails=(rows, shifted, _Tail().extend(0, s)))
 
 
 def fit(X_pos, spec: KernelSpec) -> Model:
@@ -230,10 +234,6 @@ def fit_supervised(X_pos, X_neg, spec: KernelSpec) -> Model:
     if X_neg is None or len(X_neg) == 0:
         return fit(X_pos, spec)
     X_neg = _as_rows(X_neg, X_pos.shape[1])
-    if isinstance(spec.sigma, str):
-        # a "median" sigma is the targets' median, not that of all rows,
-        # as `ocksr train --negatives` has always taken it
-        spec = replace(spec, sigma=median_pairwise_distance(X_pos))
     X = np.vstack([X_pos, X_neg])
     nu = np.concatenate([np.ones(X_pos.shape[0]), np.zeros(X_neg.shape[0])])
     factor, eff = _factor_with_ladder(X, nu, spec)
@@ -271,18 +271,18 @@ def fit_incremental(model: Model, X_new) -> Model:
         return _with_caches(X, nu, spec, factor, tau=model.tau)
 
     (n, d), m, spec = model.X_train.shape, X_new.shape[0], model.spec
-    rows, sq = model.tails
-    sq_new = np.einsum("ij,ij->i", X_new, X_new)
-    rows = rows.extend(n * d, X_new.ravel())
-    sq = sq.extend(n, sq_new)
-    X = rows.buf[: (n + m) * d].reshape(n + m, d)
-    # the new columns of K, against every row, C-ordered: their transpose
-    # holds the new rows column by column, the Fortran order in which a
-    # block border solves in K's own memory; the rbf self-kernel is 1
-    K_cols = _rbf(_sq_dists(X, X_new, sq.buf[: n + m], sq_new), spec.sigma)
-    np.fill_diagonal(K_cols[n:], 1.0 + spec.delta)
-    factor = factor_batch(K_cols.T, nu[n:], model.factor)
-    return Model(X, None, nu, spec, tau=model.tau, factor=factor, tails=(rows, sq))
+    x0, (rows, shifted, sq) = model.X_train[0], model.tails
+    W, sw = _shifted(X_new, x0)
+    tails = (rows.extend(n * d, X_new.ravel()), shifted.extend(n * d, W.ravel()),
+             sq.extend(n, sw))
+    Y = tails[1].buf[: (n + m) * d].reshape(n + m, d)
+    # the new rows of K, against every row, Fortran-ordered: the order in
+    # which a block border solves in K's own memory; the rbf self-kernel is 1
+    K_rows = _kernel(X_new, x0, spec.sigma, Y, tails[2].buf[: n + m], order="F")[0]
+    np.fill_diagonal(K_rows[:, n:], 1.0 + spec.delta)
+    factor = factor_batch(K_rows, nu[n:], model.factor)
+    X = tails[0].buf[: (n + m) * d].reshape(n + m, d)
+    return Model(X, None, nu, spec, tau=model.tau, factor=factor, tails=tails)
 
 
 def score_batch(model: Model, Z) -> tuple[np.ndarray, np.ndarray]:
@@ -292,21 +292,20 @@ def score_batch(model: Model, Z) -> tuple[np.ndarray, np.ndarray]:
     value 1; small novelty means target-like.
 
     The cross kernel is built and applied ``_SCORE_CHUNK`` probes at a
-    time, against the training rows' squared norms that the model's
-    tails hold (computed once here for a model without them), so no
-    array of probes times training rows is made.
+    time, against the shifted training rows and their squared norms that
+    the model's tails hold (computed once here for a model without
+    them), so no array of probes times training rows is made.
     """
     X, sigma = model.X_train, model.spec.sigma
     Z = _probes(X, Z)
-    norms = (np.einsum("ij,ij->i", X, X) if model.tails is None
-             else model.tails[1].buf[: model.n])
+    Y, s = _shifted(X, X[0]) if model.tails is None else (
+        model.tails[1].buf[: X.size].reshape(X.shape), model.tails[2].buf[: model.n])
     alpha = model.alpha
     projections = np.empty(Z.shape[0])
     for i in range(0, Z.shape[0], _SCORE_CHUNK):
         # one expression, so that each block is freed before the next
         projections[i:i + _SCORE_CHUNK] = dgemv(
-            1.0, _rbf(_sq_dists(Z[i:i + _SCORE_CHUNK], X, sb=norms), sigma).T,
-            alpha, trans=1)
+            1.0, _kernel(Z[i:i + _SCORE_CHUNK], X[0], sigma, Y, s)[0].T, alpha, trans=1)
     return projections, np.abs(projections - TARGET_MEAN)
 
 

@@ -14,6 +14,7 @@ import ocksr.kernel as kernel_module
 import ocksr.model as model_module
 from ocksr.baselines import kmeans_fit, kpca_fit, kpca_score
 from ocksr.cholesky import (
+    BLOCK_BORDER_ROWS,
     CholeskyFactor,
     NotPositiveDefinite,
     factor_batch,
@@ -167,10 +168,19 @@ def test_interleaved_branches_match_their_batch_fits(seed, n, branches):
         for b, chunks in enumerate(rows):
             if step < len(chunks):
                 models[b] = fit_incremental(models[b], chunks[step])
+    Z = rng.standard_normal((4, 5))
     for model, chunks in zip(models, rows):
         X_all = np.vstack([X] + chunks)
         np.testing.assert_array_equal(model.X_train, X_all)
-        assert np.abs(model.alpha - fit(X_all, spec).alpha).max() <= 1e-9
+        ref = fit(X_all, spec)
+        assert np.abs(model.alpha - ref.alpha).max() <= 1e-9
+        # a branch scores against the shifted rows its appends wrote into
+        # the shared tails, the batch fit against its own: the same rows,
+        # and kernel values are at most 1, so the projections differ by at
+        # most the alphas' l1 gap plus each side's rounding of the sum
+        gap = (np.abs(model.alpha - ref.alpha).sum()
+               + 2 * len(X_all) * np.finfo(float).eps * np.abs(ref.alpha).sum())
+        assert np.abs(score_batch(model, Z)[0] - score_batch(ref, Z)[0]).max() <= gap
     np.testing.assert_array_equal(base.X_train, X)
     np.testing.assert_array_equal(base.alpha, base_alpha)
 
@@ -800,24 +810,49 @@ def test_array_records_compare_and_hash_by_identity():
         assert hash(a) == hash(a) and len({a, b}) == 2
 
 
-def test_fit_is_translation_invariant():
+def test_fit_is_translation_invariant(tmp_path):
     # rows on a 2^-20 grid stay exact under every offset up to 1e9, and so
-    # do the rows shifted by the first one: alpha is bit-identical.  On
-    # unshifted rows, the expansion of the distances lost them at 1e7,
-    # where every rung of the ladder failed.
+    # do the rows and probes shifted by the first row: alpha, scores,
+    # appends (scalar and block borders), a loaded model's scores and
+    # kpca's are bit-identical.  Unshifted, the expansion of the distances
+    # lost them at 1e7, where every rung of the ladder failed.
     rng = np.random.default_rng(60)
-    X = np.round(rng.standard_normal((60, 4)) * 2.0**20) / 2.0**20
-    spec = KernelSpec(sigma=1.0)
-    ref = fit(X, spec)
-    assert ref.spec == spec
-    for c in (1e3, 1e5, 1e7, 1e9):
+
+    def grid(*shape):
+        return np.round(rng.standard_normal(shape) * 2.0**20) / 2.0**20
+
+    def outputs(X, Z, new, block, c):
         m = fit(X + c, spec)
         assert m.spec == spec
-        np.testing.assert_array_equal(m.alpha, ref.alpha)
+        path = tmp_path / "m.bin"
+        save_model(m, str(path))
+        a, b = fit_incremental(m, new + c), fit_incremental(m, block + c)
+        return [m.alpha, score_batch(m, Z + c)[0], a.alpha, score_batch(a, Z + c)[0],
+                b.alpha, score_batch(b, Z + c)[0],
+                score_batch(load_model(str(path)), Z + c)[0],
+                kpca_score(kpca_fit(X + c, spec, q=5), Z + c)]
+
+    X, Y = grid(60, 4), rng.standard_normal((60, 4))
+    Z, new, block = grid(40, 4), grid(3, 4), grid(BLOCK_BORDER_ROWS, 4)
+    spec = KernelSpec(sigma=1.0)
+    ref = outputs(X, Z, new, block, 0.0)
+    for c in (1e3, 1e5, 1e7, 1e9):
+        for got, want in zip(outputs(X, Z, new, block, c), ref):
+            np.testing.assert_array_equal(got, want)
         assert median_pairwise_distance(X + c) == median_pairwise_distance(X)
-    # off the grid the offset rounds the rows themselves: against the
-    # explicit-difference oracle on the same rounded rows
-    Y = rng.standard_normal((60, 4))
+    # off the grid the offset rounds the rows themselves.  Against the
+    # model of (X + c) - c, that rounding cancels: for |x| <= c / 2 both
+    # sides' shifted rows are exact (Sterbenz, and differences of
+    # multiples of ulp(c) far below 2^53 ulp(c)), so the bound that
+    # eps and these rows give is 0
+    P, new, block = (rng.standard_normal(shape)
+                     for shape in ((40, 4), (3, 4), (BLOCK_BORDER_ROWS, 4)))
+    for c in (1e3, 1e5, 1e7, 1e9):
+        back = [(A + c) - c for A in (Y, P, new, block)]
+        for got, want in zip(outputs(Y, P, new, block, c), outputs(*back, 0.0)):
+            np.testing.assert_array_equal(got, want)
+    # and the fit against the explicit-difference oracle on the same
+    # rounded rows
     for c in (0.0, 1e3, 1e5, 1e7, 1e9):
         m = fit(Y + c, spec)
         ref = oracles.fit_alpha(Y + c, m.spec)
@@ -886,9 +921,9 @@ def test_escalating_ladder_resolves_the_median_once(monkeypatch, caplog):
     grams, medians = [], []
     real_median = kernel_module._lower_median
 
-    def counting_gram(X, spec):
+    def counting_gram(X, spec, **kwargs):
         grams.append(spec)
-        return gram(X, spec)
+        return gram(X, spec, **kwargs)
 
     def counting_median(*args):
         medians.append(real_median(*args))
@@ -920,9 +955,9 @@ def test_failed_rung_rebuilds_consumed_gram(monkeypatch, caplog):
     # rung builds a new one; the log reads as when one K served every rung
     grams = []
 
-    def counting(X, spec):
+    def counting(X, spec, **kwargs):
         grams.append(spec.delta)
-        return gram(X, spec)
+        return gram(X, spec, **kwargs)
 
     monkeypatch.setattr(model_module, "gram", counting)
     X = np.random.default_rng(14).standard_normal((12, 3))
