@@ -2,9 +2,9 @@
 
 Each scorer maps a matrix of probe rows to nonnegative novelty scores,
 one per row, where larger means more anomalous, so all of them plug
-into the same AUC evaluation as the kernel regression model.  The k-NN
-scorer takes a whole sweep of neighbor counts at once and returns one
-row of scores per k.
+into the same AUC evaluation as the kernel regression model.  The
+k-means and k-NN scorers each take a whole sweep of center or neighbor
+counts at once and return one row of scores per k.
 """
 
 from __future__ import annotations
@@ -30,52 +30,55 @@ class EigenSolverDidNotConverge(RuntimeError):
 # k-means
 
 
-@dataclass(frozen=True, eq=False)
-class KMeansModel:
-    centers: np.ndarray
-
-
-def kmeans_fit(X_pos, k: int, seed: int) -> KMeansModel:
-    """Lloyd's iterations from a seeded random-row initialization.
-
-    Rows are put in canonical (lexicographic) order before the seeded
-    draw, so the fit depends on the row set and the seed, not on the
-    order rows arrive in.  Stops when the largest center movement drops
-    below 1e-8 or after 100 iterations.  A cluster that loses all points
-    keeps its previous center.
-
-    Args:
-        X_pos: training rows.
-        k: number of centers, 1 <= k <= n.
-        seed: RNG seed for choosing the initial rows.
-    """
-    X = np.asarray(X_pos, dtype=np.float64)
-    n = X.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
-    X = X[np.lexsort(X.T[::-1])]
-    rng = np.random.default_rng(seed)
-    centers = X[rng.choice(n, size=k, replace=False)].copy()
+def _lloyd(X: np.ndarray, sa: np.ndarray, k: int) -> np.ndarray:
+    """Centers of Lloyd's iterations on X (norms sa) from k rows drawn with seed 0."""
+    centers = X[np.random.default_rng(0).choice(X.shape[0], size=k, replace=False)]
     for _ in range(_KMEANS_MAX_ITER):
-        d2 = _sq_dists(X, centers)
-        assign = np.argmin(d2, axis=1)
+        assign = np.argmin(_sq_dists(X, centers, sa=sa), axis=1)
+        counts = np.bincount(assign, minlength=k)
         new_centers = centers.copy()
-        for j in range(k):
-            members = X[assign == j]
-            if members.shape[0]:
-                new_centers[j] = members.mean(axis=0)
+        if X.shape[1] == 1:
+            # numpy sums one contiguous column pairwise, which add.at would not
+            for j in np.flatnonzero(counts):
+                new_centers[j] = X[assign == j].mean(axis=0)
+        else:
+            # add.at adds each cluster's rows in order, as their mean does
+            sums = np.zeros_like(centers)
+            np.add.at(sums, assign, X)
+            np.divide(sums, counts[:, None], out=new_centers, where=counts[:, None] > 0)
         movement = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
         if movement < _KMEANS_TOL:
             break
-    return KMeansModel(centers=centers)
+    return centers
 
 
-def kmeans_score(model: KMeansModel, Z) -> np.ndarray:
-    """Distance from each probe row of Z to its nearest center."""
+def kmeans_novelty(X_pos, Z, ks) -> np.ndarray:
+    """Distance from each probe row of Z to its nearest k-means center, per k.
+
+    For each k in ``ks`` (each 1 <= k <= n, in any order), Lloyd's
+    iterations start from k rows drawn with seed 0 from the rows in
+    canonical (lexicographic) order, so the centers depend on the row
+    set, not its order.  They stop once every center moves less than
+    1e-8, or after 100; a cluster that loses all points keeps its center.
+    One sort and one distance pass serve the whole sweep.
+
+    Returns:
+        An array of shape (len(ks), len(Z)), one row per k.
+    """
     from scipy.spatial.distance import cdist  # here, so importing ocksr skips it
 
-    return cdist(Z, model.centers).min(axis=1)
+    X = np.asarray(X_pos, dtype=np.float64)
+    ks = [int(k) for k in ks]
+    bad = [k for k in ks if not 1 <= k <= X.shape[0]]
+    if bad:
+        raise ValueError(f"k must lie in [1, {X.shape[0]}], got {bad[0]}")
+    X = X[np.lexsort(X.T[::-1])]
+    sa = np.einsum("ij,ij->i", X, X)
+    fitted = {k: _lloyd(X, sa, k) for k in dict.fromkeys(ks)}
+    dists = cdist(Z, np.vstack([X[:0], *(fitted[k] for k in ks)]))
+    # X[:0] stacks an empty sweep too; each k's columns follow the previous k's
+    return np.minimum.reduceat(dists, np.cumsum([0, *ks])[:-1], axis=1).T
 
 
 # ---------------------------------------------------------------------------

@@ -31,39 +31,55 @@ TRAIN_FRACTION = 0.5
 
 
 def _average_ranks(values) -> np.ndarray:
-    """1-based ranks of ``values``, ties given their average rank.
+    """1-based ranks along the last axis of ``values``, ties given their average rank.
 
-    Equals ``scipy.stats.rankdata`` (method "average"), NaN propagating to
-    every rank, without importing ``scipy.stats``.
+    Equals ``scipy.stats.rankdata`` (method "average") on each row, NaN
+    propagating to every rank of its row, without importing ``scipy.stats``.
     """
-    values = np.asarray(values, dtype=np.float64).ravel()
-    ordered = np.sort(values)
-    if ordered.size and np.isnan(ordered[-1]):
-        return np.full(values.shape, np.nan)
-    first = np.searchsorted(ordered, values, side="left")
-    past = np.searchsorted(ordered, values, side="right")
-    return (first + past + 1) / 2.0
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, axis=-1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=-1)
+    index = np.arange(values.shape[-1])
+    # a run of ties [first, last] ends where the next value differs, or at the row's end
+    ends = np.ones(values.shape, dtype=bool)
+    ends[..., :-1] = ordered[..., 1:] != ordered[..., :-1]
+    first = np.maximum.accumulate(np.where(np.roll(ends, 1, axis=-1), index, 0), axis=-1)
+    last = np.flip(np.minimum.accumulate(np.flip(np.where(ends, index, index.size), -1),
+                                         axis=-1), -1)
+    # NaN sorts last, so a row holds one exactly when it ends with one
+    ranked = np.where(np.isnan(ordered[..., -1:]), np.nan, (first + last + 2) / 2.0)
+    ranks = np.empty(values.shape)
+    np.put_along_axis(ranks, order, ranked, axis=-1)
+    return ranks
+
+
+def _auc_rows(novelty, labels) -> np.ndarray:
+    """``roc_auc`` of each row of a (p, len(labels)) table, the labels checked once.
+
+    Ranks are half-integers, so each outlier rank sum is exact in any order.
+    """
+    novelty = np.asarray(novelty, dtype=np.float64)
+    labels = np.asarray(labels).ravel()
+    if novelty.shape[1] != labels.shape[0]:
+        raise ValueError("scores and labels must have equal length")
+    outliers, targets = labels == 0, labels == 1
+    if not (outliers | targets).all():
+        raise ValueError("labels must lie in {0, 1}")
+    n_out, n_tar = int(outliers.sum()), int(targets.sum())
+    if n_out == 0 or n_tar == 0:
+        raise ValueError("AUC needs at least one target and one outlier")
+    rank_sums = _average_ranks(novelty)[:, outliers].sum(axis=1)
+    return (rank_sums - n_out * (n_out + 1) / 2.0) / (n_out * n_tar)
 
 
 def roc_auc(scores, labels) -> float:
     """Mann-Whitney AUC of outlier-over-target score orderings.
 
-    ``labels`` marks each score 1 (target) or 0 (outlier).  Computed
-    from average ranks, so tied scores contribute one half.
+    ``labels`` marks each score 1 (target) or 0 (outlier); tied scores
+    count one half.  The one-row case of ``_auc_rows``.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels).ravel()
-    if scores.shape[0] != labels.shape[0]:
-        raise ValueError("scores and labels must have equal length")
-    if labels.size and not np.isin(labels, (0, 1)).all():
-        raise ValueError("labels must lie in {0, 1}")
-    n_out = int((labels == 0).sum())
-    n_tar = int((labels == 1).sum())
-    if n_out == 0 or n_tar == 0:
-        raise ValueError("AUC needs at least one target and one outlier")
-    ranks = _average_ranks(scores)
-    numerator = float(ranks[labels == 0].sum()) - n_out * (n_out + 1) / 2.0
-    return numerator / (n_out * n_tar)
+    return float(_auc_rows(scores[None, :], labels)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +119,7 @@ def novelties(
     row; sigma may be "median", which each fit resolves over its own
     training rows.  kmeans and knndd return one row per k in ``ks``, each
     k capped at what the n training rows allow (n centers, n - 1
-    neighbors); kmeans fits once per k from seed 0, knndd once for all.
+    neighbors), each method serving the sweep from one call.
 
     Returns:
         An array of shape (1 or len(ks), len(Z)).
@@ -120,8 +136,7 @@ def novelties(
         return baselines.kpca_score(baselines.kpca_fit(X, KernelSpec(sigma=sigma)),
                                     Z)[None, :]
     if name == "kmeans":
-        return np.array([baselines.kmeans_score(baselines.kmeans_fit(X, min(k, n), 0), Z)
-                         for k in ks]).reshape(len(ks), len(Z))
+        return baselines.kmeans_novelty(X, Z, [min(k, n) for k in ks])
     return baselines.knndd_novelty(X, Z, [min(k, n - 1) for k in ks])
 
 
@@ -147,17 +162,16 @@ def repeated_aucs(
     Repeat r draws one split with seed base_seed + r, training on
     ``TRAIN_FRACTION`` of the targets.  ``scorer(X_train, Z)`` is called
     once per split with the train targets and the test rows, and returns
-    novelties of shape (p, len(Z)), say one row per k of a sweep; each
-    row gives one AUC.  Any split, scorer or AUC failure is re-raised
-    with the repeat index attached.
+    novelties of shape (p, len(Z)), say one row per k of a sweep; one
+    pass ranks the table, each row giving one AUC.  Any split, scorer or
+    AUC failure is re-raised with the repeat index attached.
     """
     columns = []
     for r in range(_check_repeats(repeats)):
         seed = base_seed + r
         try:
             train, test = random_split(dataset, TRAIN_FRACTION, seed)
-            columns.append([roc_auc(scores, test.labels)
-                            for scores in scorer(train.targets(), test.X)])
+            columns.append(_auc_rows(scorer(train.targets(), test.X), test.labels))
         except Exception as exc:
             raise RuntimeError(f"repeat {r} (seed {seed}) failed: {exc}") from exc
     # rows made contiguous, so each row's mean sums in one fixed order
@@ -190,7 +204,7 @@ def friedman_test(auc_table) -> FriedmanResult:
     table = np.atleast_2d(np.asarray(auc_table, dtype=np.float64))
     if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 2:
         raise ValueError("need at least 1 dataset and 2 methods")
-    ranks = np.vstack([_average_ranks(-row) for row in table])
+    ranks = _average_ranks(-table)
     avg = ranks.mean(axis=0)
     n, m = table.shape
     chi2 = float(12.0 * n / (m * (m + 1))
@@ -296,8 +310,7 @@ def bench_run(
     if complete:
         result = friedman_test([[cells[d][m].mean for m in methods] for d in complete])
         report.average_ranks = dict(zip(methods, result.average_ranks.tolist()))
-        report.chi_square = result.chi_square
-        report.p_value = result.p_value
+        report.chi_square, report.p_value = result.chi_square, result.p_value
         report.ranked_datasets = complete
         for d, row_ranks in zip(complete, result.ranks):
             report.per_dataset_ranks[d] = dict(zip(methods, row_ranks.tolist()))
@@ -324,9 +337,9 @@ def write_ranks_csv(report: BenchReport, path: str) -> None:
     """Average rank per method plus the Friedman statistic as comment lines."""
     lines = []
     if report.chi_square is not None:
-        lines.append(f"# friedman_chi_square,{report.chi_square:.12g}")
-        lines.append(f"# p_value,{report.p_value:.12g}")
-        lines.append(f"# datasets_ranked,{len(report.ranked_datasets)}")
+        lines += [f"# friedman_chi_square,{report.chi_square:.12g}",
+                  f"# p_value,{report.p_value:.12g}",
+                  f"# datasets_ranked,{len(report.ranked_datasets)}"]
     lines.append("method,average_rank")
     if report.average_ranks:
         for m in report.methods:
@@ -337,38 +350,16 @@ def write_ranks_csv(report: BenchReport, path: str) -> None:
 
 def write_bench_json(report: BenchReport, path: str) -> None:
     """Full structured report including every per-repeat AUC."""
-    payload = {
-        "repeats": report.repeats,
-        "base_seed": report.base_seed,
-        "datasets": report.datasets,
-        "methods": report.methods,
-        "cells": {
-            ds: {
-                m: (
-                    {"error": str(cell.error)}
-                    if cell.error is not None
-                    else {
-                        "mean": cell.mean,
-                        "std": cell.std,
-                        "param": cell.param,
-                        "aucs": cell.aucs,
-                    }
-                )
-                for m, cell in row.items()
-            }
-            for ds, row in report.cells.items()
-        },
-        "average_ranks": report.average_ranks,
-        "friedman": (
-            None
-            if report.chi_square is None
-            else {
-                "chi_square": report.chi_square,
-                "p_value": report.p_value,
-                "datasets_ranked": report.ranked_datasets,
-            }
-        ),
-    }
+    cells = {ds: {m: {"error": str(c.error)} if c.error is not None else
+                  {"mean": c.mean, "std": c.std, "param": c.param, "aucs": c.aucs}
+                  for m, c in row.items()}
+             for ds, row in report.cells.items()}
+    friedman = None if report.chi_square is None else {
+        "chi_square": report.chi_square, "p_value": report.p_value,
+        "datasets_ranked": report.ranked_datasets}
+    payload = {"repeats": report.repeats, "base_seed": report.base_seed,
+               "datasets": report.datasets, "methods": report.methods, "cells": cells,
+               "average_ranks": report.average_ranks, "friedman": friedman}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -276,11 +276,17 @@ def fit_incremental(model: Model, X_new) -> Model:
     tails = (rows.extend(n * d, X_new.ravel()), shifted.extend(n * d, W.ravel()),
              sq.extend(n, sw))
     Y = tails[1].buf[: (n + m) * d].reshape(n + m, d)
-    # the new rows of K, against every row, Fortran-ordered: the order in
-    # which a block border solves in K's own memory; the rbf self-kernel is 1
-    K_rows = _kernel(X_new, x0, spec.sigma, Y, tails[2].buf[: n + m], order="F")[0]
-    np.fill_diagonal(K_rows[:, n:], 1.0 + spec.delta)
-    factor = factor_batch(K_rows, nu[n:], model.factor)
+    try:
+        # the new rows of K, against every row, Fortran-ordered: the order in
+        # which a block border solves in K's own memory; the rbf self-kernel is 1
+        K_rows = _kernel(X_new, x0, spec.sigma, Y, tails[2].buf[: n + m], order="F")[0]
+        np.fill_diagonal(K_rows[:, n:], 1.0 + spec.delta)
+        factor = factor_batch(K_rows, nu[n:], model.factor)
+    except BaseException:
+        # give the rows' tails back, as factor_batch does the factor's
+        for tail, used, new in zip(tails, (n * d, n * d, n), (X_new, W, sw)):
+            tail.release(used, used + new.size)
+        raise
     X = tails[0].buf[: (n + m) * d].reshape(n + m, d)
     return Model(X, None, nu, spec, tau=model.tau, factor=factor, tails=tails)
 

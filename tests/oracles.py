@@ -9,10 +9,12 @@ the library replaced by panels and probe chunks.
 ``parse_csv`` and ``load_csv`` are the token-by-token CSV reader the
 library's numpy-backed one must agree with.  ``knndd_self_kth`` and
 ``knndd_score`` are the one-k-at-a-time k-NN fit and score that the
-library's sweep replaced.
+library's sweep replaced, and ``kmeans_fit`` and ``kmeans_score`` the
+one-k-at-a-time k-means.
 """
 
 import csv
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -109,6 +111,46 @@ def knndd_score(X, Z, k: int) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = num / den
     return np.where(den == 0.0, np.where(num == 0.0, 0.0, np.inf), ratio)
+
+
+@dataclass(frozen=True, eq=False)
+class KMeansModel:
+    centers: np.ndarray
+
+
+def kmeans_fit(X_pos, k: int, seed: int) -> KMeansModel:
+    """Lloyd's iterations from a seeded random-row initialization.
+
+    Rows are put in canonical (lexicographic) order before the seeded
+    draw.  Each iteration moves every center that kept a point to the
+    mean of its cluster; a cluster that loses all points keeps its
+    previous center.  Stops when the largest center movement drops below
+    1e-8 or after 100 iterations.
+    """
+    X = np.asarray(X_pos, dtype=np.float64)
+    n = X.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    X = X[np.lexsort(X.T[::-1])]
+    rng = np.random.default_rng(seed)
+    centers = X[rng.choice(n, size=k, replace=False)].copy()
+    for _ in range(100):
+        assign = np.argmin(_sq_dists(X, centers), axis=1)
+        new_centers = centers.copy()
+        for j in range(k):
+            members = X[assign == j]
+            if members.shape[0]:
+                new_centers[j] = members.mean(axis=0)
+        movement = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+        centers = new_centers
+        if movement < 1e-8:
+            break
+    return KMeansModel(centers=centers)
+
+
+def kmeans_score(model: KMeansModel, Z) -> np.ndarray:
+    """Distance from each probe row of Z to its nearest center."""
+    return cdist(Z, model.centers).min(axis=1)
 
 
 def _parse_float(token: str) -> float | None:

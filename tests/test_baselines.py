@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from ocksr.baselines import (
     EigenSolverDidNotConverge,
     _centered_gram,
-    kmeans_fit,
-    kmeans_score,
+    kmeans_novelty,
     knndd_novelty,
     kpca_fit,
     kpca_score,
@@ -56,61 +55,76 @@ def _knndd_one(X, k, z):
     return float(out[0, 0])
 
 
+def _kmeans_one(X, k, Z):
+    """Novelties of the probe rows Z at one k, through the sweep."""
+    out = kmeans_novelty(X, np.asarray(Z, dtype=np.float64), [k])
+    assert out.shape == (1, len(Z))
+    return out[0]
+
+
 def test_kmeans_k_equals_n_scores_training_rows_zero():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((7, 3))
-    m = kmeans_fit(X, k=7, seed=1)
-    assert kmeans_score(m, X).max() <= 1e-12
+    assert _kmeans_one(X, 7, X).max() <= 1e-12
 
 
 def test_kmeans_single_center_is_mean():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((20, 4))
-    m = kmeans_fit(X, k=1, seed=0)
-    np.testing.assert_allclose(m.centers[0], X.mean(axis=0), atol=1e-12)
+    Z = rng.standard_normal((6, 4))
+    np.testing.assert_allclose(_kmeans_one(X, 1, Z),
+                               np.linalg.norm(Z - X.mean(axis=0), axis=1), atol=1e-12)
 
 
 def test_kmeans_two_blobs_recovers_means():
     rng = np.random.default_rng(2)
     a = 0.05 * rng.standard_normal((40, 2))
     b = np.array([5.0, 5.0]) + 0.05 * rng.standard_normal((40, 2))
-    m = kmeans_fit(np.vstack([a, b]), k=2, seed=3)
-    centers = m.centers[np.argsort(m.centers[:, 0])]
-    assert np.linalg.norm(centers[0] - a.mean(axis=0)) < 0.1
-    assert np.linalg.norm(centers[1] - b.mean(axis=0)) < 0.1
+    # each blob's mean lies within 0.1 of a center
+    assert _kmeans_one(np.vstack([a, b]), 2, [a.mean(axis=0), b.mean(axis=0)]).max() < 0.1
 
 
 def test_kmeans_score_is_distance_to_nearest_center():
-    m = kmeans_fit(np.array([[0.0, 0.0], [10.0, 0.0]]), k=2, seed=0)
-    assert _one(kmeans_score, m, [0.0, 0.0]) == 0.0
-    assert _one(kmeans_score, m, [13.0, 4.0]) == pytest.approx(5.0, rel=1e-12)
+    scores = _kmeans_one(np.array([[0.0, 0.0], [10.0, 0.0]]), 2, [[0.0, 0.0], [13.0, 4.0]])
+    assert scores[0] == 0.0
+    assert scores[1] == pytest.approx(5.0, rel=1e-12)
 
 
 def test_kmeans_radial_monotonicity():
     rng = np.random.default_rng(3)
-    m = kmeans_fit(rng.standard_normal((15, 3)), k=4, seed=5)
+    X = rng.standard_normal((15, 3))
     direction = np.ones(3) / np.sqrt(3.0)
-    start = m.centers.mean(axis=0)
-    Z = start + np.linspace(5.0, 50.0, 8)[:, None] * direction
-    scores = kmeans_score(m, Z)
+    Z = X.mean(axis=0) + np.linspace(5.0, 50.0, 8)[:, None] * direction
+    scores = _kmeans_one(X, 4, Z)
     assert all(s1 <= s2 + 1e-12 for s1, s2 in zip(scores, scores[1:]))
 
 
 def test_kmeans_invalid_k():
     X = np.zeros((3, 2))
-    with pytest.raises(ValueError):
-        kmeans_fit(X, k=0, seed=0)
-    with pytest.raises(ValueError):
-        kmeans_fit(X, k=4, seed=0)
+    for ks, bad in (([0], 0), ([4], 4), ([1, 3, 4], 4), ([2, -1, 5], -1)):
+        with pytest.raises(ValueError, match=rf"k must lie in \[1, 3\], got {bad}$"):
+            kmeans_novelty(X, X, ks)
+    assert kmeans_novelty(X, X, [1, 3]).shape == (2, 3)
 
 
 def test_kmeans_permutation_invariant():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((25, 3))
+    Z = rng.standard_normal((10, 3))
     perm = rng.permutation(25)
-    a = kmeans_fit(X, k=5, seed=7)
-    b = kmeans_fit(X[perm], k=5, seed=7)
-    np.testing.assert_array_equal(a.centers, b.centers)
+    ks = [5, 2, 9]
+    np.testing.assert_array_equal(kmeans_novelty(X, Z, ks), kmeans_novelty(X[perm], Z, ks))
+
+
+def test_kmeans_empty_cluster_keeps_its_center():
+    # at k = 4 three of the drawn rows coincide: the first of their
+    # centers takes every row at distance 0, the other two empty at once
+    X = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0]])
+    Z = np.array([[0.0, 0.0], [4.0, 4.0], [1.0, 2.0]])
+    got = kmeans_novelty(X, Z, [1, 2, 3, 4])
+    want = np.stack([oracles.kmeans_score(oracles.kmeans_fit(X, k, 0), Z) for k in (1, 2, 3, 4)])
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got[3], [0.0, 0.0, np.sqrt(5.0)])
 
 
 def test_knndd_zero_on_training_row():
@@ -288,8 +302,10 @@ def test_batch_scorers_match_per_probe_references(seed, n, d, m, n_dup, on_grid)
     Z = np.vstack([fresh, X[rng.integers(0, n, 3)]])  # probes on training rows too
     k = int(rng.integers(1, n))
 
-    kmeans = kmeans_fit(X, int(rng.integers(1, n + 1)), seed)
-    for got, ref in ((kmeans_score(kmeans, Z), lambda z: _kmeans_score_ref(kmeans, z)),
+    k_centers = int(rng.integers(1, n + 1))
+    kmeans = oracles.kmeans_fit(X, k_centers, 0)
+    for got, ref in ((kmeans_novelty(X, Z, [k_centers])[0],
+                      lambda z: _kmeans_score_ref(kmeans, z)),
                      (knndd_novelty(X, Z, [k])[0], lambda z: _knndd_score_ref(X, k, z))):
         want = np.array([ref(z) for z in Z])
         assert got.shape == (Z.shape[0],)
@@ -322,5 +338,27 @@ def test_knndd_sweep_equals_per_k_oracle_bit_for_bit(seed, n, d, m, n_dup, on_gr
     ks = [1, n - 1] + [1 + draw % (n - 1) for draw in draws]
     got = knndd_novelty(X, Z, ks)
     want = np.stack([oracles.knndd_score(X, Z, k) for k in ks])
+    assert got.shape == (len(ks), Z.shape[0])
+    np.testing.assert_array_equal(got, want)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 40), st.integers(1, 12),
+       st.integers(0, 8), st.integers(0, 6), st.booleans(), st.integers(-3, 3),
+       st.lists(st.integers(0, 50), min_size=1, max_size=10))
+@settings(max_examples=80, deadline=None)
+def test_kmeans_sweep_equals_per_k_oracle_bit_for_bit(seed, n, d, m, n_dup, on_grid,
+                                                      scale, draws):
+    rng = np.random.default_rng(seed)
+    # integer grid coordinates make exact distance ties and coinciding
+    # initial centers, so clusters that empty, common
+    X = (rng.integers(-2, 3, (n, d)) if on_grid else rng.standard_normal((n, d))).astype(float)
+    X[rng.integers(0, n, n_dup)] = X[rng.integers(0, n, n_dup)]  # duplicate rows
+    X *= 10.0**scale
+    fresh = 10.0**scale * rng.standard_normal((m, d))
+    Z = np.vstack([fresh, X[rng.integers(0, n, 3)]])  # probes on training rows too
+    # k = 1 and k = n always, then draws in [1, n], unsorted and repeated
+    ks = [1, n] + [1 + draw % n for draw in draws]
+    got = kmeans_novelty(X, Z, ks)
+    want = np.stack([oracles.kmeans_score(oracles.kmeans_fit(X, k, 0), Z) for k in ks])
     assert got.shape == (len(ks), Z.shape[0])
     np.testing.assert_array_equal(got, want)

@@ -11,7 +11,7 @@ from scipy.stats import rankdata
 
 import ocksr.evaluation as ev
 import oracles
-from ocksr.baselines import kmeans_fit, kmeans_score, kpca_fit, kpca_score
+from ocksr.baselines import kpca_fit, kpca_score
 from ocksr.dataset import make_synthetic, random_split, write_csv
 from ocksr.evaluation import (
     NEIGHBORHOOD_RANGE,
@@ -84,6 +84,44 @@ def test_auc_equals_pair_oracle(seed, n_out, n_tar, quantize):
 def test_average_ranks_match_scipy_rankdata(values):
     # integer values force ties; the float draws add +-0, infinities and NaN
     np.testing.assert_array_equal(ev._average_ranks(values), rankdata(values))
+
+
+@given(st.integers(0, 10**6), st.integers(0, 5), st.integers(0, 12), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_average_ranks_rank_each_row_like_rankdata(seed, p, m, nan_row):
+    rng = np.random.default_rng(seed)
+    pool = [-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf]
+    table = np.where(rng.random((p, m)) < 0.5, rng.choice(pool, (p, m)),
+                     rng.standard_normal((p, m)))
+    if nan_row and p and m:
+        table[rng.integers(p), rng.integers(m)] = np.nan
+    ranks = ev._average_ranks(table)
+    assert ranks.shape == (p, m)
+    for row, want in zip(ranks, table):
+        np.testing.assert_array_equal(row, rankdata(want))
+
+
+@given(st.integers(0, 10**6), st.integers(1, 30), st.integers(1, 30), st.integers(1, 6),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_auc_table_rows_equal_pair_oracle(seed, n_out, n_tar, p, nan_row):
+    rng = np.random.default_rng(seed)
+    m = n_out + n_tar
+    # a few repeated values force ties; the infinities sort at either end
+    pool = [-np.inf, -1.0, -0.0, 0.0, 0.5, np.inf]
+    table = np.where(rng.random((p, m)) < 0.5, rng.choice(pool, (p, m)),
+                     rng.standard_normal((p, m)))
+    if nan_row:
+        table[rng.integers(p), rng.integers(m)] = np.nan
+    labels = np.concatenate([np.zeros(n_out, np.int64), np.ones(n_tar, np.int64)])
+    rng.shuffle(labels)
+    aucs = ev._auc_rows(table, labels)
+    assert aucs.shape == (p,)
+    for row, auc in zip(table, aucs):
+        if np.isnan(row).any():
+            assert np.isnan(auc)
+        else:
+            assert auc == _pair_auc(row, labels) == roc_auc(row, labels)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -255,7 +293,8 @@ def _per_k_sweep(dataset, name, repeats, base_seed, ks):
             train, test = random_split(dataset, ev.TRAIN_FRACTION, base_seed + r)
             X = train.targets()
             if name == "kmeans":
-                scores = kmeans_score(kmeans_fit(X, min(k, len(X)), seed=0), test.X)
+                scores = oracles.kmeans_score(oracles.kmeans_fit(X, min(k, len(X)), seed=0),
+                                              test.X)
             else:
                 scores = oracles.knndd_score(X, test.X, min(k, len(X) - 1))
             aucs[r] = roc_auc(scores, test.labels)
@@ -329,6 +368,29 @@ def test_a_sweep_scores_each_split_once(monkeypatch):
     scorer_calls.clear()
     ev.bench_run([ds], ["ocksr", "kmeans"], 3, 0)
     assert len(scorer_calls) == 6
+
+
+def test_a_kmeans_sweep_fits_and_ranks_each_split_once(monkeypatch):
+    ds = make_synthetic(24, 24, 3, 3.0, seed=24)
+    kmeans_calls, auc_tables = [], []
+    real_kmeans, real_aucs = ev.baselines.kmeans_novelty, ev._auc_rows
+
+    def counting_kmeans(X, Z, ks):
+        kmeans_calls.append(list(ks))
+        return real_kmeans(X, Z, ks)
+
+    def counting_aucs(novelty, labels):
+        auc_tables.append(np.shape(novelty))
+        return real_aucs(novelty, labels)
+
+    monkeypatch.setattr(ev.baselines, "kmeans_novelty", counting_kmeans)
+    monkeypatch.setattr(ev, "_auc_rows", counting_aucs)
+    cell = ev.bench_run([ds], ["kmeans"], 3, 0).cells[ds.name]["kmeans"]
+    assert kmeans_calls == [list(NEIGHBORHOOD_RANGE)] * 3 and len(cell.aucs) == 3
+    # the whole sweep's table is ranked in one pass per split
+    assert [rows for rows, _ in auc_tables] == [len(NEIGHBORHOOD_RANGE)] * 3
+    # the per-k fit is gone from the library, so nothing there can call it
+    assert not hasattr(ev.baselines, "kmeans_fit")
 
 
 def test_one_split_per_repeat(monkeypatch):

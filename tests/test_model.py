@@ -12,7 +12,7 @@ from scipy.linalg.blas import dtpsv
 
 import ocksr.kernel as kernel_module
 import ocksr.model as model_module
-from ocksr.baselines import kmeans_fit, kpca_fit, kpca_score
+from ocksr.baselines import kpca_fit, kpca_score
 from ocksr.cholesky import (
     BLOCK_BORDER_ROWS,
     CholeskyFactor,
@@ -311,6 +311,22 @@ def test_incremental_duplicate_row_rejected():
     m = fit(X, KernelSpec(sigma=1.0))  # delta stays 0: appends have no ladder
     with pytest.raises(NotPositiveDefinite):
         fit_incremental(m, X[3:4])
+
+
+@pytest.mark.parametrize("rows", [1, 3, 20])
+def test_a_failed_append_gives_its_tails_back(rows):
+    # scalar borders (fewer than 12 rows) and a block border alike: after
+    # the failure the next append extends every buffer of its base in place
+    rng = np.random.default_rng(61)
+    X = rng.standard_normal((200, 8))
+    m = fit(X, KernelSpec(sigma=median_pairwise_distance(X)))
+    assert m.spec.delta == 0.0  # so that the duplicate fails
+    bad = np.vstack([rng.standard_normal((rows - 1, 8)), X[:1]])  # ends on a duplicate
+    with pytest.raises(NotPositiveDefinite):
+        fit_incremental(m, bad)
+    grown = fit_incremental(m, rng.standard_normal((rows, 8)))
+    assert all(new is old for new, old in zip(grown.tails, m.tails))
+    assert grown.factor._tail is m.factor._tail and grown.factor._theta is m.factor._theta
 
 
 def test_classify_threshold_inclusive():
@@ -799,7 +815,7 @@ def test_array_records_compare_and_hash_by_identity():
     builders = [
         lambda: fit(X, spec),
         lambda: Dataset(X, labels),
-        lambda: kmeans_fit(X, 3, 0),
+        lambda: oracles.kmeans_fit(X, 3, 0),
         lambda: kpca_fit(X, spec),
         lambda: friedman_test([[0.9, 0.8], [0.7, 0.6]]),
     ]
