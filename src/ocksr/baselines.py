@@ -30,27 +30,53 @@ class EigenSolverDidNotConverge(RuntimeError):
 # k-means
 
 
-def _lloyd(X: np.ndarray, sa: np.ndarray, k: int) -> np.ndarray:
-    """Centers of Lloyd's iterations on X (norms sa) from k rows drawn with seed 0."""
-    centers = X[np.random.default_rng(0).choice(X.shape[0], size=k, replace=False)]
+def _lloyd(X: np.ndarray, sa: np.ndarray, ks: list[int]) -> list[np.ndarray]:
+    """Centers of Lloyd's iterations on X (norms sa), one array per k of ks.
+
+    Each k starts from k rows drawn with seed 0 and stops on its own
+    test.  The ks advance together: their centers are stacked, one block
+    per k, and only the distances and their argmin are taken per k,
+    because one product over all the blocks would round differently from
+    one per k.
+    """
+    n, d = X.shape
+    starts = np.cumsum([0, *ks])
+    blocks = list(zip(starts[:-1], starts[1:]))  # each k's rows of centers
+    rng = np.random.default_rng(0)
+    seed = rng.bit_generator.state
+    centers = np.empty((starts[-1], d))
+    for a, b in blocks:
+        rng.bit_generator.state = seed
+        centers[a:b] = X[rng.choice(n, size=b - a, replace=False)]
+    live = np.ones(len(ks), dtype=bool)
+    # the weights of cluster j's column c sit in bin j d + c
+    tiled, cols = np.tile(X.ravel(), len(ks)), np.arange(d)
     for _ in range(_KMEANS_MAX_ITER):
-        assign = np.argmin(_sq_dists(X, centers, sa=sa), axis=1)
-        counts = np.bincount(assign, minlength=k)
-        new_centers = centers.copy()
-        if X.shape[1] == 1:
-            # numpy sums one contiguous column pairwise, which add.at would not
-            for j in np.flatnonzero(counts):
-                new_centers[j] = X[assign == j].mean(axis=0)
-        else:
-            # add.at adds each cluster's rows in order, as their mean does
-            sums = np.zeros_like(centers)
-            np.add.at(sums, assign, X)
-            np.divide(sums, counts[:, None], out=new_centers, where=counts[:, None] > 0)
-        movement = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
-        centers = new_centers
-        if movement < _KMEANS_TOL:
+        if not live.any():
             break
-    return centers
+        runs = [block for block, go in zip(blocks, live) if go]
+        sb = np.einsum("ij,ij->i", centers, centers)
+        # one cluster number per (live k, row), each k's clusters after the last's
+        assign = np.concatenate([np.argmin(_sq_dists(X, centers[a:b], sa, sb[a:b]), axis=1) + a
+                                 for a, b in runs])
+        # a k that stopped has no counts, so its centers stay as they are
+        counts = np.bincount(assign, minlength=starts[-1])
+        new_centers = centers.copy()
+        if d == 1:
+            # numpy sums one contiguous column pairwise, which bincount would not
+            for rows, (a, b) in zip(assign.reshape(-1, n), runs):
+                for j in np.flatnonzero(counts[a:b]) + a:
+                    new_centers[j] = X[rows == j].mean(axis=0)
+        else:
+            # bincount adds each cluster's rows in order, as their mean does
+            sums = np.bincount((assign[:, None] * d + cols).ravel(), tiled[:assign.size * d],
+                               minlength=starts[-1] * d).reshape(-1, d)
+            np.divide(sums, counts[:, None], out=new_centers, where=counts[:, None] > 0)
+        # a NaN movement (overflowed centers) keeps its k running, as alone
+        live &= ~(np.maximum.reduceat(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)),
+                                      starts[:-1]) < _KMEANS_TOL)
+        centers = new_centers
+    return [centers[a:b] for a, b in blocks]
 
 
 def kmeans_novelty(X_pos, Z, ks) -> np.ndarray:
@@ -61,7 +87,9 @@ def kmeans_novelty(X_pos, Z, ks) -> np.ndarray:
     canonical (lexicographic) order, so the centers depend on the row
     set, not its order.  They stop once every center moves less than
     1e-8, or after 100; a cluster that loses all points keeps its center.
-    One sort and one distance pass serve the whole sweep.
+    One sort and one distance pass serve the whole sweep, and the
+    distinct ks iterate side by side in one loop, each leaving it when
+    its own test stops it, with the same centers as a run of its own.
 
     Returns:
         An array of shape (len(ks), len(Z)), one row per k.
@@ -75,7 +103,8 @@ def kmeans_novelty(X_pos, Z, ks) -> np.ndarray:
         raise ValueError(f"k must lie in [1, {X.shape[0]}], got {bad[0]}")
     X = X[np.lexsort(X.T[::-1])]
     sa = np.einsum("ij,ij->i", X, X)
-    fitted = {k: _lloyd(X, sa, k) for k in dict.fromkeys(ks)}
+    distinct = list(dict.fromkeys(ks))
+    fitted = dict(zip(distinct, _lloyd(X, sa, distinct)))
     dists = cdist(Z, np.vstack([X[:0], *(fitted[k] for k in ks)]))
     # X[:0] stacks an empty sweep too; each k's columns follow the previous k's
     return np.minimum.reduceat(dists, np.cumsum([0, *ks])[:-1], axis=1).T

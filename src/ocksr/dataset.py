@@ -38,7 +38,7 @@ class Dataset:
         if not np.isfinite(X).all():
             raise DataFormatError("feature matrix contains non-finite entries")
         # the values as given, before a cast could round 0.7 to 0
-        if labels.size and not np.isin(labels, (0, 1)).all():
+        if not ((labels == 0) | (labels == 1)).all():
             raise DataFormatError("labels must lie in {0, 1}")
         labels = np.asarray(labels, dtype=np.int64).view()
         X.setflags(write=False)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ocksr.baselines as baselines_module
 from ocksr.baselines import (
     EigenSolverDidNotConverge,
     _centered_gram,
@@ -340,6 +341,34 @@ def test_knndd_sweep_equals_per_k_oracle_bit_for_bit(seed, n, d, m, n_dup, on_gr
     want = np.stack([oracles.knndd_score(X, Z, k) for k in ks])
     assert got.shape == (len(ks), Z.shape[0])
     np.testing.assert_array_equal(got, want)
+
+
+def _count_center_passes(monkeypatch, module) -> list[int]:
+    """The center count of each ``_sq_dists`` call that module makes from now on."""
+    calls, real = [], module._sq_dists
+
+    def counting(A, B=None, *args):
+        calls.append(B.shape[0])
+        return real(A, B, *args)
+
+    monkeypatch.setattr(module, "_sq_dists", counting)
+    return calls
+
+
+def test_each_k_of_a_sweep_stops_when_its_lone_run_does(monkeypatch):
+    # three blobs: the ks converge after different numbers of iterations,
+    # and each should leave the shared loop then, not with the slowest k
+    rng = np.random.default_rng(8)
+    X = np.vstack([rng.standard_normal((30, 3)) + c for c in (0.0, 6.0, 12.0)])
+    ks = list(range(1, 13))
+    swept = _count_center_passes(monkeypatch, baselines_module)
+    kmeans_novelty(X, X[:2], ks)
+    lone = _count_center_passes(monkeypatch, oracles)
+    for k in ks:
+        oracles.kmeans_fit(X, k, 0)
+    iterations = [lone.count(k) for k in ks]
+    assert [swept.count(k) for k in ks] == iterations
+    assert len(set(iterations)) > 2 and max(iterations) < 100
 
 
 @given(st.integers(0, 10**6), st.integers(1, 40), st.integers(1, 12),

@@ -250,12 +250,19 @@ def test_dataset_validation():
         Dataset(np.zeros((1, 2)), np.array([3]))
 
 
-@pytest.mark.parametrize("labels", [[0.7, 1.9, 1.0], [1.0, np.nan, 0.0], [0, 1, -0.5]])
+@pytest.mark.parametrize("labels", [[0.7, 1.9, 1.0], [1.0, np.nan, 0.0], [0, 1, -0.5],
+                                    [1, 2, 0], ["0", "1", "1"], [None, 1, 0]])
 def test_labels_are_checked_before_they_are_cast(labels):
     # a cast to integers first would read 0.7 as 0 and 1.9 as 1
-    with pytest.raises(DataFormatError, match="lie in"):
+    with pytest.raises(DataFormatError, match=r"^labels must lie in \{0, 1\}$"):
         Dataset(np.zeros((3, 2)), labels)
     assert Dataset(np.zeros((3, 2)), [1.0, 0.0, 1.0]).labels.tolist() == [1, 0, 1]
+
+
+def test_bool_and_empty_labels_are_accepted():
+    ds = Dataset(np.zeros((2, 2)), np.array([True, False]))
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0]
+    assert Dataset(np.zeros((0, 2)), np.array([])).labels.shape == (0,)
 
 
 def test_dataset_arrays_read_only():
