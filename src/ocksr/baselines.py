@@ -34,49 +34,44 @@ def _lloyd(X: np.ndarray, sa: np.ndarray, ks: list[int]) -> list[np.ndarray]:
     """Centers of Lloyd's iterations on X (norms sa), one array per k of ks.
 
     Each k starts from k rows drawn with seed 0 and stops on its own
-    test.  The ks advance together: their centers are stacked, one block
-    per k, and only the distances and their argmin are taken per k,
-    because one product over all the blocks would round differently from
-    one per k.
+    test.  The ks iterate side by side, their centers stacked one block
+    per k, so the center norms, the copy and the stopping test serve
+    every k at once; each k's distances and sums stay its own, because
+    one product over all the blocks would round differently.
     """
     n, d = X.shape
-    starts = np.cumsum([0, *ks])
-    blocks = list(zip(starts[:-1], starts[1:]))  # each k's rows of centers
+    starts = np.cumsum([0, *ks])[:-1]
     rng = np.random.default_rng(0)
     seed = rng.bit_generator.state
-    centers = np.empty((starts[-1], d))
-    for a, b in blocks:
+    centers = np.empty((sum(ks), d))
+    for a, k in zip(starts, ks):
         rng.bit_generator.state = seed
-        centers[a:b] = X[rng.choice(n, size=b - a, replace=False)]
-    live = np.ones(len(ks), dtype=bool)
-    # the weights of cluster j's column c sit in bin j d + c
-    tiled, cols = np.tile(X.ravel(), len(ks)), np.arange(d)
+        centers[a:a + k] = X[rng.choice(n, size=k, replace=False)]
+    live = list(zip(starts, ks))  # the first center and k of each k still running
     for _ in range(_KMEANS_MAX_ITER):
-        if not live.any():
+        if not live:
             break
-        runs = [block for block, go in zip(blocks, live) if go]
         sb = np.einsum("ij,ij->i", centers, centers)
-        # one cluster number per (live k, row), each k's clusters after the last's
-        assign = np.concatenate([np.argmin(_sq_dists(X, centers[a:b], sa, sb[a:b]), axis=1) + a
-                                 for a, b in runs])
-        # a k that stopped has no counts, so its centers stay as they are
-        counts = np.bincount(assign, minlength=starts[-1])
         new_centers = centers.copy()
-        if d == 1:
-            # numpy sums one contiguous column pairwise, which bincount would not
-            for rows, (a, b) in zip(assign.reshape(-1, n), runs):
-                for j in np.flatnonzero(counts[a:b]) + a:
-                    new_centers[j] = X[rows == j].mean(axis=0)
-        else:
-            # bincount adds each cluster's rows in order, as their mean does
-            sums = np.bincount((assign[:, None] * d + cols).ravel(), tiled[:assign.size * d],
-                               minlength=starts[-1] * d).reshape(-1, d)
-            np.divide(sums, counts[:, None], out=new_centers, where=counts[:, None] > 0)
-        # a NaN movement (overflowed centers) keeps its k running, as alone
-        live &= ~(np.maximum.reduceat(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)),
-                                      starts[:-1]) < _KMEANS_TOL)
+        for a, k in live:
+            assign = np.argmin(_sq_dists(X, centers[a:a + k], sa, sb[a:a + k]), axis=1)
+            counts = np.bincount(assign, minlength=k)
+            if d == 1:
+                # numpy sums one contiguous column pairwise, which bincount would not
+                for j in np.flatnonzero(counts):
+                    new_centers[a + j] = X[assign == j].mean(axis=0)
+            else:
+                # bincount adds each cluster's rows in order, as their mean does
+                # (cluster j's column c sums in bin j d + c)
+                sums = np.bincount((assign[:, None] * d + np.arange(d)).ravel(), X.ravel(),
+                                   minlength=k * d).reshape(k, d)
+                np.divide(sums, counts[:, None], out=new_centers[a:a + k],
+                          where=counts[:, None] > 0)
+        # a stopped k moves 0 and stays stopped; a NaN movement keeps its k running
+        movement = np.maximum.reduceat(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)), starts)
+        live = [(a, k) for a, k, m in zip(starts, ks, movement) if not m < _KMEANS_TOL]
         centers = new_centers
-    return [centers[a:b] for a, b in blocks]
+    return [centers[a:a + k] for a, k in zip(starts, ks)]
 
 
 def kmeans_novelty(X_pos, Z, ks) -> np.ndarray:
@@ -88,8 +83,8 @@ def kmeans_novelty(X_pos, Z, ks) -> np.ndarray:
     set, not its order.  They stop once every center moves less than
     1e-8, or after 100; a cluster that loses all points keeps its center.
     One sort and one distance pass serve the whole sweep, and the
-    distinct ks iterate side by side in one loop, each leaving it when
-    its own test stops it, with the same centers as a run of its own.
+    distinct ks iterate side by side in one loop, each leaving it on its
+    own test with the same centers as a run of its own.
 
     Returns:
         An array of shape (len(ks), len(Z)), one row per k.

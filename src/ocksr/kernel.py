@@ -17,10 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.blas import dgemm, dgemv, dsyrk
 
-# np.exp rounds every argument below this to 0: exp(-745.13) is already
-# the smallest subnormal, 5e-324
-_EXP_ZERO = -745.2
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -121,33 +117,24 @@ def _kernel(Z: np.ndarray, x0: np.ndarray, sigma, Y: np.ndarray | None = None,
     W, sw = _shifted(Z, x0)
     d2 = _sq_dists(W, Y, sw, s) if order == "C" else _sq_dists(Y, W, s, sw).T
     del W  # freed before the median's vector of pairs
-    sy = sw if Y is None else s
     if sigma in (None, "median"):
         p = median_rows or len(Z)
-        # a bare median reads d2 no more, so it packs the pairs into d2 itself
-        median = _lower_median(d2[:p, :p], sw[:p], Z.shape[1],
-                               d2.reshape(-1) if sigma is None else None)
-        return (None, median) if sigma is None else (_rbf(d2, median, sw, sy), median)
-    return _rbf(d2, sigma, sw, sy), sigma
+        median = _lower_median(d2[:p, :p], sw[:p], Z.shape[1])
+        return (None, median) if sigma is None else (_rbf(d2, median), median)
+    return _rbf(d2, sigma), sigma
 
 
-def _lower_median(d2: np.ndarray, s: np.ndarray, d: int,
-                  out: np.ndarray | None = None) -> float:
+def _lower_median(d2: np.ndarray, s: np.ndarray, d: int) -> float:
     """Median of the distances whose squares fill d2's strict lower triangle.
 
     s holds the squared norms the expansion summed, and d the rows'
-    width.  The pairs are written to out's first n (n - 1) / 2 entries
-    (a new vector without out), which may be d2's own buffer.  1.0 when
-    there are no pairs or the median is 0.
+    width.  1.0 when there are no pairs or the median is 0.
     """
     n = d2.shape[0]
     if n < 2:
         return 1.0
-    # the triangle row by row: row i's pairs end before row i starts, so
-    # in d2's own buffer they overwrite only rows already read
-    pairs = np.empty(n * (n - 1) // 2) if out is None else out[:n * (n - 1) // 2]
-    for i in range(1, n):
-        pairs[i * (i - 1) // 2:i * (i + 1) // 2] = d2[i, :i]
+    # the triangle row by row, as one vector of the n (n - 1) / 2 pairs
+    pairs = np.concatenate([d2[i, :i] for i in range(1, n)])
     # the expansion's rounding error is below 2 (d + 1) eps (||a||^2 +
     # ||b||^2): a value under that bound is a pair of coinciding rows.  A
     # screen on the largest norm leaves the exact test to the few near 0
@@ -168,21 +155,10 @@ def _lower_median(d2: np.ndarray, s: np.ndarray, d: int,
     return med if med > 0.0 else 1.0
 
 
-def _rbf(d2: np.ndarray, sigma: float, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
-    """Gaussian kernel of squared distances d2, overwriting d2.
-
-    sa and sb are the squared norms of the rows d2 lies between, so no
-    entry exceeds (sqrt(max sa) + sqrt(max sb))^2.  Only when that bound
-    admits arguments below _EXP_ZERO, on which np.exp is about 7x slower,
-    does exp skip them and set them to 0: no pass over d2 decides.
-    """
+def _rbf(d2: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian kernel of squared distances d2, overwriting d2."""
     d2 /= -2.0 * sigma**2
-    reach = (np.sqrt(sa.max()) + np.sqrt(sb.max())) ** 2
-    if reach / (2.0 * sigma**2) <= -_EXP_ZERO:
-        return np.exp(d2, out=d2)
-    np.exp(d2, out=d2, where=d2 >= _EXP_ZERO)
-    # the arguments skipped are negative, every exp is not
-    return np.maximum(d2, 0.0, out=d2)
+    return np.exp(d2, out=d2)
 
 
 def gram(X, spec: KernelSpec,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -347,9 +349,9 @@ def _count_center_passes(monkeypatch, module) -> list[int]:
     """The center count of each ``_sq_dists`` call that module makes from now on."""
     calls, real = [], module._sq_dists
 
-    def counting(A, B=None, *args):
+    def counting(A, B=None, *args, **kwargs):
         calls.append(B.shape[0])
-        return real(A, B, *args)
+        return real(A, B, *args, **kwargs)
 
     monkeypatch.setattr(module, "_sq_dists", counting)
     return calls
@@ -357,7 +359,7 @@ def _count_center_passes(monkeypatch, module) -> list[int]:
 
 def test_each_k_of_a_sweep_stops_when_its_lone_run_does(monkeypatch):
     # three blobs: the ks converge after different numbers of iterations,
-    # and each should leave the shared loop then, not with the slowest k
+    # and each should stop then, not run on with the slowest k
     rng = np.random.default_rng(8)
     X = np.vstack([rng.standard_normal((30, 3)) + c for c in (0.0, 6.0, 12.0)])
     ks = list(range(1, 13))
@@ -369,6 +371,23 @@ def test_each_k_of_a_sweep_stops_when_its_lone_run_does(monkeypatch):
     iterations = [lone.count(k) for k in ks]
     assert [swept.count(k) for k in ks] == iterations
     assert len(set(iterations)) > 2 and max(iterations) < 100
+
+
+def test_a_sweeps_memory_does_not_grow_with_its_ks():
+    # each k's update makes O(n d) temporaries of its own, so eight ks
+    # peak about where the largest alone does: no copy of X per k
+    X = np.random.default_rng(4).standard_normal((4000, 16))
+    kmeans_novelty(X[:20], X[:5], [1])  # imports cdist before any peak is read
+
+    def peak(ks):
+        tracemalloc.start()
+        try:
+            kmeans_novelty(X, X[:5], ks)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(list(range(3, 11))) < 1.25 * peak([10])
 
 
 @given(st.integers(0, 10**6), st.integers(1, 40), st.integers(1, 12),

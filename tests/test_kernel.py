@@ -5,17 +5,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import pdist
 
 import oracles
-import ocksr.kernel as kernel_module
 from ocksr.cholesky import factor_batch
 from ocksr.kernel import (
     KernelSpec,
-    _rbf,
     _sq_dists,
     gram,
     kernel_cross,
     median_pairwise_distance,
 )
-from ocksr.model import fit, fit_incremental, score_batch
 
 
 def kernel_eval(x, y, spec: KernelSpec) -> float:
@@ -288,33 +285,3 @@ def test_gram_matches_explicit_differences_under_offsets(seed, n, d, offset, twi
     spec = KernelSpec(sigma=median_pairwise_distance(X), delta=0.125)
     np.testing.assert_allclose(np.tril(gram(X, spec)[0]), np.tril(oracles.gram(X, spec)),
                                rtol=0, atol=1e-14)
-
-
-def test_rbf_skips_only_arguments_whose_exp_is_zero():
-    # the arguments a = d2 / -2 at sigma 1 cross the subnormal band and the
-    # cutoff; norms of 1e6 admit arguments past it, so exp skips them
-    cut = kernel_module._EXP_ZERO
-    a = np.concatenate([np.linspace(-700.0, -800.0, 200_001), [0.0, -745.13],
-                        np.nextafter(cut, [-np.inf, np.inf])])
-    norms = np.array([1e6])
-    K = _rbf(-2.0 * a[None, :], 1.0, norms, norms)
-    assert K.tobytes() == np.exp(a)[None, :].tobytes()
-    assert (K[0, a < cut] == 0.0).all() and (K[0, a >= -745.13] > 0.0).all()
-
-
-def test_kernel_at_a_small_sigma_matches_the_plain_exp(monkeypatch):
-    # sigma 1 on rows this far apart puts most arguments below the cutoff
-    rng = np.random.default_rng(31)
-    X, Z = 20.0 * rng.standard_normal((200, 4)), 20.0 * rng.standard_normal((150, 4))
-    spec = KernelSpec(sigma=1.0, delta=1e-6)
-
-    def kernels():
-        model = fit(X[:150], spec)
-        return (gram(X, spec)[0][np.tril_indices(len(X))], score_batch(model, Z)[0],
-                fit_incremental(model, X[150:]).alpha)
-
-    got = kernels()
-    assert (got[0] == 0.0).mean() > 0.5
-    monkeypatch.setattr(kernel_module, "_EXP_ZERO", -np.inf)  # np.exp everywhere
-    for g, want in zip(got, kernels()):
-        assert g.tobytes() == want.tobytes()
